@@ -34,7 +34,6 @@ def run_batch(seed, first_game, n_games, prefix_probs, cycle_probs,
     """
     prefix = tuple(float(p) for p in prefix_probs)
     cyc = tuple(float(c) for c in cycle_probs)
-    cyc_len = len(cyc)
     wins = bp_games = 0
     sum_points = sum_points_sq = 0
     sum_bps = sum_bps_sq = 0

@@ -26,6 +26,7 @@ __all__ = ["main", "entrypoint", "SweepSpec"]
 
 _METRIC_ORDER = ("win_prob", "bp_prob", "expected_points", "expected_bps")
 _EVAL_TOL = 1e-9
+_CUTOFFS = range(7)  # game C's single-serve cutoff x
 
 
 class _UsageError(Exception):
@@ -112,7 +113,7 @@ def _add_game_flags(p: argparse.ArgumentParser):
     p.add_argument("--p", type=_prob, help="per-point chance for A/T games")
     p.add_argument("--pf", type=_prob, help="full-serve chance for Bj/B/C games")
     p.add_argument("--ps", type=_prob, help="single-serve / receiving chance")
-    p.add_argument("--x", type=int, default=None,
+    p.add_argument("--x", type=int, choices=_CUTOFFS, default=None,
                    help="single-serve cutoff for game C (default 3)")
     p.add_argument("--order", type=int, choices=(1, 2), default=None,
                    help="serve order variant for Bj/B (default 1)")
@@ -138,52 +139,14 @@ def _resolve_game(args) -> tuple[RuleKind, ServeProfile, int, int]:
     if args.order is not None and kind not in (RuleKind.BJ, RuleKind.B):
         raise _UsageError("--order only applies to games Bj and B")
     x = 3 if args.x is None else args.x
-    if not (0 <= x <= 6):
-        raise _UsageError(f"--x must lie in 0..6, got {x}")
     return kind, prof, x, args.order or 1
-
-
-def _closed_metrics(kind: RuleKind, prof: ServeProfile, x: int) -> dict[str, float]:
-    p = prof.p_f
-    if kind is RuleKind.A:
-        return {
-            "win_prob": formulas.p_win_A(p),
-            "bp_prob": formulas.p_bp_A(p),
-            "expected_points": formulas.e_points_A(p),
-            "expected_bps": formulas.e_bp_A(p),
-        }
-    if kind is RuleKind.T:
-        return {
-            "win_prob": formulas.p_win_T(p),
-            "bp_prob": formulas.p_bp_T(p),
-            "expected_points": formulas.e_points_T(p),
-            "expected_bps": formulas.e_bp_T(p),
-        }
-    if kind is RuleKind.BJ:
-        return {
-            "win_prob": formulas.p_win_Bj(prof),
-            "expected_points": formulas.e_points_Bj(prof),
-        }
-    if kind is RuleKind.B:
-        return {
-            "win_prob": formulas.p_win_B(prof),
-            "expected_points": formulas.e_points_B(prof),
-        }
-    if kind is RuleKind.C and x == 3:
-        return {
-            "win_prob": formulas.p_win_C(prof),
-            "bp_prob": formulas.p_bp_C(prof),
-            "expected_points": formulas.e_points_C(prof),
-            "expected_bps": formulas.e_bp_C(prof),
-        }
-    return {}
 
 
 def _cmd_eval(args) -> int:
     kind, prof, x, order = _resolve_game(args)
     sched = schedule_for(kind, order=order, x=x)
     m = metrics_exact(sched, prof)
-    closed = _closed_metrics(kind, prof, x)
+    closed = formulas.closed_metrics(kind, prof, x)
     rows = []
     worst = 0.0
     for name in _METRIC_ORDER:
@@ -236,9 +199,6 @@ def _cmd_sweep(args) -> int:
             raise _UsageError(f"unknown game {name!r} (choose from A,Bj,T,B,C)")
     if not kinds:
         raise _UsageError("at least one game is required")
-    x = 3 if args.x is None else args.x
-    if not (0 <= x <= 6):
-        raise _UsageError(f"--x must lie in 0..6, got {x}")
     delta = spec.delta if spec.delta is not None else 0.0
     two_var = spec.variable == "p_F"
     rows = []
@@ -254,7 +214,7 @@ def _cmd_sweep(args) -> int:
         else:
             prof = ServeProfile(v, v)
         for kind in kinds:
-            sched = schedule_for(kind, x=x)
+            sched = schedule_for(kind, x=args.x)
             try:
                 m = metrics_exact(sched, prof)
             except ServelabError as exc:  # singular corner of the grid
@@ -373,15 +333,12 @@ def _cmd_compare(args) -> int:
     rows = parse_stats(args.csv)
     if not rows:
         raise _UsageError("stats file has no data rows")
-    x = 3 if args.x is None else args.x
-    if not (0 <= x <= 6):
-        raise _UsageError(f"--x must lie in 0..6, got {x}")
-    table = compare_table(rows, x)
+    table = compare_table(rows, args.x)
     cols = ("p_emp", "p_s_won", "p_t", "p_c", "p_t_br", "p_c_br",
             "e_t", "e_c", "e_t_br", "e_c_br")
     if args.json:
         doc = {
-            "x": x,
+            "x": args.x,
             "rows": [
                 {"rank": r.rank, **{c: getattr(r, c) for c in cols}} for r in table
             ],
@@ -452,7 +409,8 @@ def build_parser() -> _Parser:
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--delta", type=float, default=None,
                    help="offset in p_S = 1 - p_F + delta (p_F sweeps)")
-    p.add_argument("--x", type=int, default=None, help="cutoff when sweeping game C")
+    p.add_argument("--x", type=int, choices=_CUTOFFS, default=3,
+                   help="cutoff when sweeping game C")
     p.add_argument("--out", required=True, help="output CSV path, - for stdout")
     p.add_argument("--svg", default=None, help="optional SVG chart path")
     p.set_defaults(func=_cmd_sweep)
@@ -473,7 +431,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="existing-vs-proposed table for a stats file")
     p.add_argument("csv")
-    p.add_argument("--x", type=int, default=None)
+    p.add_argument("--x", type=int, choices=_CUTOFFS, default=3)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_compare)
 

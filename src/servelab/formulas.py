@@ -9,15 +9,18 @@ against the engine to 1e-12.
 
 Conventions: p is F's per-point win chance where a single number suffices
 (A, T); two-variable games take a ServeProfile (p_F, p_S) with q = 1 - p
-complements computed at use sites.
+complements computed at use sites.  `CLOSED_FORMS` is the one place that
+says which game has which forms; `closed_metrics` evaluates them by game.
 """
 
 from __future__ import annotations
 
 from .errors import SingularProfile
-from .types import AlgebraTerm, ServeProfile, eval_term
+from .types import AlgebraTerm, RuleKind, ServeProfile, eval_term
 
 __all__ = [
+    "CLOSED_FORMS",
+    "closed_metrics",
     "p_win_A",
     "p_bp_A",
     "e_points_A",
@@ -268,3 +271,34 @@ def e_bp_C(prof: ServeProfile) -> float:
     qs = 1.0 - ps
     tie = _tsum(_TIE_MASS, prof)
     return _tsum(_C_BP_VISITS, prof) + tie * qs / _c_tie_denom(prof)
+
+
+# ---------------------------------------------------------------- table
+#
+# Which GameMetrics fields have a closed form in each game.  Bj and B
+# have no break-point forms (the serve alternates, so break points are
+# undefined); C's forms hold only at its headline cutoff x = 3.
+
+CLOSED_FORMS = {
+    RuleKind.A: (("win_prob", p_win_A), ("bp_prob", p_bp_A),
+                 ("expected_points", e_points_A), ("expected_bps", e_bp_A)),
+    RuleKind.BJ: (("win_prob", p_win_Bj), ("expected_points", e_points_Bj)),
+    RuleKind.T: (("win_prob", p_win_T), ("bp_prob", p_bp_T),
+                 ("expected_points", e_points_T), ("expected_bps", e_bp_T)),
+    RuleKind.B: (("win_prob", p_win_B), ("expected_points", e_points_B)),
+    RuleKind.C: (("win_prob", p_win_C), ("bp_prob", p_bp_C),
+                 ("expected_points", e_points_C), ("expected_bps", e_bp_C)),
+}
+
+
+def closed_metrics(kind: RuleKind, prof: ServeProfile, x: int = 3) -> dict[str, float]:
+    """Every closed-form metric of game `kind`, keyed by GameMetrics field.
+
+    A and T are functions of p = prof.p_f alone; the other games take the
+    whole profile.  Game C has closed forms only at x = 3, so any other
+    cutoff gives {}; x is ignored for the other games.
+    """
+    if kind is RuleKind.C and x != 3:
+        return {}
+    arg = prof.p_f if kind in (RuleKind.A, RuleKind.T) else prof
+    return {field: fn(arg) for field, fn in CLOSED_FORMS[kind]}

@@ -15,7 +15,7 @@ from . import formulas
 from .atp import PlayerStats, p_emp
 from .engine import metrics_exact
 from .errors import ConsistencyError, DegenerateProfile, RangeError
-from .types import ServeProfile, rule_c
+from .types import RuleKind, ServeProfile, rule_c
 
 __all__ = [
     "ShapingTargets",
@@ -146,8 +146,8 @@ def compare_table(rows: list[PlayerStats], x: int = 3) -> list[CompareRow]:
 
     T metrics come from the closed forms at the blended chance; C(x)
     metrics from the exact engine at (p_F = blend, p_S = second-serve
-    rate).  For x = 3 the closed C forms are cross-checked against the
-    engine to 1e-9 as a self-test.
+    rate).  Where game C has closed forms (x = 3) they are cross-checked
+    against the engine to 1e-9 as a self-test.
     """
     if not isinstance(x, int) or not (0 <= x <= 6):
         raise RangeError(f"x must be an integer in 0..6, got {x!r}")
@@ -157,20 +157,13 @@ def compare_table(rows: list[PlayerStats], x: int = 3) -> list[CompareRow]:
         blended = p_emp(stats)
         prof = ServeProfile(p_f=blended, p_s=stats.p_s_won)
         mc = metrics_exact(sched, prof)
-        if x == 3:
-            closed = (
-                formulas.p_win_C(prof),
-                formulas.p_bp_C(prof),
-                formulas.e_points_C(prof),
-                formulas.e_bp_C(prof),
+        closed = formulas.closed_metrics(RuleKind.C, prof, x)
+        worst = max((abs(v - getattr(mc, f)) for f, v in closed.items()), default=0.0)
+        if worst > 1e-9:
+            raise ConsistencyError(
+                f"closed C forms diverged from the engine by {worst:.3e} "
+                f"for rank {stats.rank}"
             )
-            eng = (mc.win_prob, mc.bp_prob, mc.expected_points, mc.expected_bps)
-            worst = max(abs(a - b) for a, b in zip(closed, eng))
-            if worst > 1e-9:
-                raise ConsistencyError(
-                    f"closed C forms diverged from the engine by {worst:.3e} "
-                    f"for rank {stats.rank}"
-                )
         out.append(
             CompareRow(
                 rank=stats.rank,

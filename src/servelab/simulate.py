@@ -97,6 +97,11 @@ class SimConfig:
             raise RangeError("seed must fit in 64 bits")
         if self.first_game < 0:
             raise RangeError(f"first_game must be >= 0, got {self.first_game}")
+        if self.first_game + self.n_games > MASK + 1:
+            raise RangeError(
+                "game indices must fit in 64 bits: first_game + n_games = "
+                f"{self.first_game + self.n_games} > 2**64"
+            )
 
 
 @dataclass(frozen=True)
@@ -164,9 +169,8 @@ def _estimate(s1: int, s2: int, n: int) -> MetricEstimate:
     mean = s1 / n
     if n == 1:
         return MetricEstimate(mean, None)
-    var = (s2 - s1 * s1 / n) / (n - 1)
-    if var < 0.0:  # guard against rounding at zero variance
-        var = 0.0
+    # integer numerator: exact, and >= 0 by Cauchy-Schwarz
+    var = (n * s2 - s1 * s1) / (n * (n - 1))
     return MetricEstimate(mean, sqrt(var / n))
 
 

@@ -7,8 +7,10 @@ from xml.dom import minidom
 
 import pytest
 
+from servelab import formulas
 from servelab.atp import sample_path
 from servelab.cli import main
+from servelab.types import RuleKind
 
 HEADER = "rank,name,p_f_in,p_f_won,p_s_won,p_t_won"
 SAMPLE = str(sample_path())
@@ -85,7 +87,7 @@ class TestEval:
         assert code == 2
 
     def test_divergence_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setattr("servelab.formulas.p_win_T", lambda p: 0.0)
+        monkeypatch.setitem(formulas.CLOSED_FORMS, RuleKind.T, (("win_prob", lambda _: 0.0),))
         code, _, err = run(capsys, "eval", "--game", "T", "--p", "0.6")
         assert code == 4
         assert "disagree" in err
@@ -261,7 +263,7 @@ class TestCompare:
         assert code == 2
 
     def test_divergence_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setattr("servelab.formulas.p_win_C", lambda prof: 0.0)
+        monkeypatch.setitem(formulas.CLOSED_FORMS, RuleKind.C, (("win_prob", lambda _: 0.0),))
         code, _, err = run(capsys, "compare", SAMPLE)
         assert code == 4
         assert "diverged" in err

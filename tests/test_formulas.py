@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from servelab import engine, formulas as fm
 from servelab.errors import SingularProfile
-from servelab.types import ServeProfile, rule_b, rule_c
+from servelab.types import RuleKind, ServeProfile, rule_b, rule_c, schedule_for
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 
@@ -178,3 +179,24 @@ class TestProposedGame:
         assert fm.p_bp_C(prof) == pytest.approx(0.0, abs=1e-15)
         assert fm.e_points_C(prof) == pytest.approx(4.0, abs=1e-15)
         assert fm.e_bp_C(prof) == pytest.approx(0.0, abs=1e-15)
+
+
+_GAMES = [(k, 3) for k in RuleKind if k is not RuleKind.C] + [
+    (RuleKind.C, x) for x in range(7)
+]
+
+
+class TestClosedMetrics:
+    @pytest.mark.parametrize("kind,x", _GAMES, ids=lambda v: getattr(v, "value", v))
+    @pytest.mark.parametrize("pf,ps", [(0.62, 0.45), (0.5, 0.5), (0.3, 0.7)])
+    def test_fields_and_values_match_engine(self, kind, x, pf, ps):
+        prof = ServeProfile(pf, ps)
+        closed = fm.closed_metrics(kind, prof, x)
+        m = engine.metrics_exact(schedule_for(kind, x=x), prof)
+        if kind is RuleKind.C and x != 3:
+            assert closed == {}
+            return
+        present = {f.name for f in dataclasses.fields(m) if getattr(m, f.name) is not None}
+        assert set(closed) == present
+        for name, value in closed.items():
+            assert value == pytest.approx(getattr(m, name), abs=1e-9)

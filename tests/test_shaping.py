@@ -2,7 +2,7 @@
 
 import pytest
 
-from servelab import formulas as fm, shaping
+from servelab import formulas as fm
 from servelab.atp import PlayerStats, load_sample
 from servelab.errors import ConsistencyError, DegenerateProfile, RangeError
 from servelab.shaping import (
@@ -12,6 +12,7 @@ from servelab.shaping import (
     recommend_cutoff,
     solve_x,
 )
+from servelab.types import RuleKind
 
 FEDERER = PlayerStats(1, "R. Federer", 0.62, 0.77, 0.57, 0.88)
 GABASHVILI = PlayerStats(200, "T. Gabashvili", 0.57, 0.70, 0.48, 0.74)
@@ -122,6 +123,6 @@ class TestCompareTable:
             compare_table([FEDERER], x=x)
 
     def test_divergence_raises(self, monkeypatch):
-        monkeypatch.setattr(shaping.formulas, "p_win_C", lambda prof: 0.0)
+        monkeypatch.setitem(fm.CLOSED_FORMS, RuleKind.C, (("win_prob", lambda _: 0.0),))
         with pytest.raises(ConsistencyError):
             compare_table([FEDERER])

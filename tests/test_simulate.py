@@ -187,8 +187,14 @@ class TestEstimateMetrics:
             {"n_games": 5, "seed": 2**64},
             {"n_games": 5, "seed": 0, "max_deuce_cycles": 0},
             {"n_games": 5, "seed": 0, "first_game": -1},
+            {"n_games": 1, "seed": 0, "first_game": 2**64},
+            {"n_games": 2, "seed": 0, "first_game": 2**64 - 1},
         ],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(RangeError):
             SimConfig(**kwargs)
+
+    def test_last_game_index_accepted(self):
+        cfg = SimConfig(n_games=1, seed=0, first_game=2**64 - 1)
+        assert estimate_metrics(rule_t(), ServeProfile(0.6, 0.6), cfg).n_games == 1
