@@ -1,10 +1,13 @@
-"""Pure-Python Monte Carlo kernel.
+"""Pure-Python Monte Carlo kernel and the reference game loop.
 
-Bit-identical to the compiled kernel in _mc_kernel.pyx: same generator,
-same draw order, same comparisons, integer accumulators only.  The
-generator is splitmix64 (documented in simulate.py); Python integers are
-masked to 64 bits where C code relies on natural wraparound.
+play_game is the one point-by-point game loop: simulate.simulate_game and
+run_batch both call it, and _mc_kernel.pyx compiles it draw for draw with
+integer accumulators only.  The generator is splitmix64 (documented in
+simulate.py); Python integers are masked to 64 bits where C code relies
+on natural wraparound.
 """
+
+from .errors import DeuceCapExceeded
 
 MASK = 0xFFFFFFFFFFFFFFFF
 GAMMA = 0x9E3779B97F4A7C15
@@ -24,6 +27,47 @@ def mix64(z: int) -> int:
     return z
 
 
+def play_game(base, k, prefix, cyc, count_bp, max_deuce_cycles):
+    """Play one game from draw k of the stream keyed by base.
+
+    prefix holds F's point probabilities up to the tie and cyc one cycle
+    of the tied region.  Returns (f_won, points, break_points, k) with k
+    the next unused draw; break points are counted only when count_bp.
+    Raises DeuceCapExceeded if the tied region is still undecided after
+    max_deuce_cycles cycles.
+    """
+    f = s = 0
+    pts = bps = 0
+    for p in prefix:
+        if count_bp and s == 3 and f <= 2:
+            bps += 1
+        u = (mix64((base + k * GAMMA) & MASK) >> 11) * INV53
+        k += 1
+        pts += 1
+        if u < p:
+            f += 1
+            if f == 4:
+                return True, pts, bps, k
+        else:
+            s += 1
+            if s == 4:
+                return False, pts, bps, k
+    d = 0
+    for _ in range(max_deuce_cycles):
+        for c in cyc:
+            if count_bp and d == -1:
+                bps += 1
+            u = (mix64((base + k * GAMMA) & MASK) >> 11) * INV53
+            k += 1
+            pts += 1
+            d += 1 if u < c else -1
+            if d == 2 or d == -2:
+                return d == 2, pts, bps, k
+    raise DeuceCapExceeded(
+        f"tied region still undecided after {max_deuce_cycles} cycles"
+    )
+
+
 def run_batch(seed, first_game, n_games, prefix_probs, cycle_probs,
               count_bp, max_deuce_cycles):
     """Simulate games [first_game, first_game + n_games) and return the
@@ -38,62 +82,16 @@ def run_batch(seed, first_game, n_games, prefix_probs, cycle_probs,
     sum_points = sum_points_sq = 0
     sum_bps = sum_bps_sq = 0
     truncated = 0
-    for g in range(n_games):
-        base = mix64((seed + ((first_game + g + 1) * GAMMA)) & MASK)
-        k = 0
-        f = s = 0
-        pts = 0
-        bps = 0
-        decided = False
-        f_won = False
-        for p in prefix:
-            if count_bp and s == 3 and f <= 2:
-                bps += 1
-            u = (mix64((base + k * GAMMA) & MASK) >> 11) * INV53
-            k += 1
-            pts += 1
-            if u < p:
-                f += 1
-                if f == 4:
-                    decided = True
-                    f_won = True
-                    break
-            else:
-                s += 1
-                if s == 4:
-                    decided = True
-                    break
-        if not decided:
-            d = 0
-            cycles = 0
-            trunc = False
-            while True:
-                if cycles >= max_deuce_cycles:
-                    trunc = True
-                    break
-                for c in cyc:
-                    if count_bp and d == -1:
-                        bps += 1
-                    u = (mix64((base + k * GAMMA) & MASK) >> 11) * INV53
-                    k += 1
-                    pts += 1
-                    if u < c:
-                        d += 1
-                    else:
-                        d -= 1
-                    if d == 2 or d == -2:
-                        break
-                if d == 2 or d == -2:
-                    break
-                cycles += 1
-            if trunc:
-                truncated += 1
-                continue
-            f_won = d == 2
-        if f_won:
-            wins += 1
-        if bps > 0:
-            bp_games += 1
+    for i in range(first_game + 1, first_game + n_games + 1):
+        base = mix64((seed + i * GAMMA) & MASK)
+        try:
+            f_won, pts, bps, _ = play_game(base, 0, prefix, cyc, count_bp,
+                                           max_deuce_cycles)
+        except DeuceCapExceeded:
+            truncated += 1
+            continue
+        wins += f_won
+        bp_games += bps > 0
         sum_points += pts
         sum_points_sq += pts * pts
         sum_bps += bps

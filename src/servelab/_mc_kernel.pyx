@@ -1,8 +1,11 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
 """Compiled Monte Carlo kernel.
 
-Reference implementation: _mc_fallback.py (results are bit-identical;
-C unsigned arithmetic wraps exactly like the masked Python version).
+Reference implementation: _mc_fallback.play_game, the one game loop,
+summed over a batch exactly as _mc_fallback.run_batch does.  The loop
+below is that function inlined into C for speed, draw for draw; results
+are bit-identical because C unsigned arithmetic wraps exactly like the
+masked Python version.
 """
 
 from libc.stdint cimport int64_t, uint64_t

@@ -55,6 +55,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in ("p", "p_F"):
             raise _UsageError(f"variable must be p or p_F, got {self.variable!r}")
+        if self.delta is not None and self.variable != "p_F":
+            raise _UsageError("--delta only applies to --var p_F")
         if not self.start < self.stop:
             raise _UsageError(f"start must be < stop, got {self.start} >= {self.stop}")
         if not (0.0 < self.step <= self.stop - self.start + 1e-9):

@@ -20,9 +20,12 @@ and its k-th draw (k = 0, 1, ...) is
 One draw is consumed per point, in playing order; F wins the point iff
 u < its source probability.  Because every game owns an independent
 substream, sharding the batch over workers or machines cannot change
-the totals.  The compiled kernel (_mc_kernel, built from Cython) and
-the pure-Python fallback (_mc_fallback) implement this identically and
-are bit-for-bit interchangeable.
+the totals.  The game loop itself is written once, as
+_mc_fallback.play_game: simulate_game plays one game with it on a
+SplitMix64 stream, and the pure-Python kernel (_mc_fallback.run_batch)
+sums it over a batch.  The compiled kernel (_mc_kernel, built from
+Cython) reproduces play_game draw for draw, so both kernels are
+bit-for-bit interchangeable.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ except ImportError:  # pragma: no cover - depends on build environment
 
     _BACKEND = "pure-python"
 
-from ._mc_fallback import GAMMA, INV53, MASK, mix64
+from ._mc_fallback import GAMMA, INV53, MASK, mix64, play_game
 
 __all__ = [
     "SimConfig",
@@ -129,40 +132,15 @@ def simulate_game(
     """Play one game; returns (f_won, points, break_points).
 
     break_points is counted only for all-F-served schedules (it is 0,
-    and reported as absent, at the aggregation level otherwise).
+    and reported as absent, at the aggregation level otherwise).  rng
+    advances by one draw per point; if the deuce cap raises
+    DeuceCapExceeded, rng is left where it started.
     """
-    count_bp = sched.all_f_served
-    pts = 0
-    bps = 0
-    f = s = 0
-    for p in sched.prefix_probs(prof):
-        if count_bp and s == 3 and f <= 2:
-            bps += 1
-        pts += 1
-        if rng.next_double() < p:
-            f += 1
-            if f == 4:
-                return True, pts, bps
-        else:
-            s += 1
-            if s == 4:
-                return False, pts, bps
-    cyc = sched.cycle_probs(prof)
-    d = 0
-    cycles = 0
-    while True:
-        if cycles >= max_deuce_cycles:
-            raise DeuceCapExceeded(
-                f"tied region still undecided after {cycles} cycles"
-            )
-        for c in cyc:
-            if count_bp and d == -1:
-                bps += 1
-            pts += 1
-            d += 1 if rng.next_double() < c else -1
-            if d == 2 or d == -2:
-                return d == 2, pts, bps
-        cycles += 1
+    won, pts, bps, rng.k = play_game(
+        rng.base, rng.k, sched.prefix_probs(prof), sched.cycle_probs(prof),
+        sched.all_f_served, max_deuce_cycles,
+    )
+    return won, pts, bps
 
 
 def _estimate(s1: int, s2: int, n: int) -> MetricEstimate:

@@ -73,6 +73,15 @@ class TestParse:
         with pytest.raises(RangeError, match="line 2.*percentages"):
             parse_text(f"{HEADER}\n1,x,0.62,77,0.5,0.5\n")
 
+    def test_non_utf8_input(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"\xff\xfe")
+        with pytest.raises(ParseError, match="UTF-8"):
+            parse_stats(f)
+        with open(f, encoding="utf-8") as fh:
+            with pytest.raises(ParseError, match="UTF-8"):
+                parse_stats(fh)
+
     def test_duplicate_rank_warns(self):
         text = f"{HEADER}\n1,x,0.5,0.5,0.5,0.5\n1,y,0.6,0.6,0.6,0.6\n"
         with pytest.warns(UserWarning, match="duplicate rank 1"):

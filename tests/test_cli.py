@@ -185,6 +185,17 @@ class TestFit:
         code, _, _ = run(capsys, "fit", str(f))
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv", [("fit",), ("compare",), ("shape", "--low", "1", "--high", "2")]
+    )
+    def test_non_utf8_file(self, capsys, tmp_path, argv):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert code == 3
+        assert "UTF-8" in err
+        assert "Traceback" not in err
+
 
 class TestShape:
     def test_by_name_and_rank(self, capsys):
@@ -328,6 +339,8 @@ class TestSweep:
              "--start", "0.5", "--stop", "0.6", "--step", "0.1", "--out", "-"),
             ("sweep", "--games", "Bj", "--var", "p_F", "--delta", "0.4",
              "--start", "0.3", "--stop", "0.6", "--step", "0.1", "--out", "-"),
+            ("sweep", "--games", "T", "--start", "0.1", "--stop", "0.2",
+             "--step", "0.05", "--delta", "0.1", "--out", "-"),
         ],
     )
     def test_usage_errors(self, capsys, argv):

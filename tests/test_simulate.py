@@ -1,7 +1,11 @@
 """Monte Carlo layer: determinism, kernel parity, statistical concordance."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import servelab
 from servelab import _mc_fallback as fallback
 from servelab.engine import metrics_exact
 from servelab.errors import DeuceCapExceeded, RangeError
@@ -9,7 +13,6 @@ from servelab.simulate import (
     SimConfig,
     SplitMix64,
     estimate_metrics,
-    mc_backend,
     simulate_game,
     substream,
 )
@@ -84,35 +87,67 @@ class TestSimulateGame:
 
     def test_deuce_cap(self):
         # cycle probabilities (1, 0) bounce between level and +1 forever
+        rng = substream(0, 0)
         with pytest.raises(DeuceCapExceeded):
-            simulate_game(rule_bj(), ServeProfile(1.0, 0.0), substream(0, 0),
-                          max_deuce_cycles=5)
+            simulate_game(rule_bj(), ServeProfile(1.0, 0.0), rng, max_deuce_cycles=5)
+        assert rng.k == 0  # a game that raises consumes no draws
 
 
-@pytest.mark.skipif(mc_backend() != "compiled", reason="compiled kernel not built")
+def per_game_sums(sched, prof, seed, first, n):
+    """run_batch's 7-tuple built from simulate_game, one substream per game."""
+    wins = bp_games = pts = pts_sq = bps = bps_sq = 0
+    for i in range(first, first + n):
+        rng = substream(seed, i)
+        won, p, b = simulate_game(sched, prof, rng)
+        assert rng.k == p  # one draw per point
+        wins += won
+        bp_games += b > 0
+        pts += p
+        pts_sq += p * p
+        bps += b
+        bps_sq += b * b
+    return (wins, bp_games, pts, pts_sq, bps, bps_sq, 0)
+
+
+def _kernels():
+    """Every importable servelab._mc_* module with a run_batch function."""
+    found = []
+    for info in pkgutil.iter_modules(servelab.__path__):
+        if not info.name.startswith("_mc_"):
+            continue
+        try:
+            mod = importlib.import_module(f"servelab.{info.name}")
+        except ImportError:
+            continue
+        if callable(getattr(mod, "run_batch", None)):
+            found.append(mod)
+    return found
+
+
+@pytest.mark.parametrize("kernel", _kernels(), ids=lambda m: m.__name__.rsplit(".", 1)[1])
 class TestKernelParity:
     @pytest.mark.parametrize(
-        "sched,prof,count_bp",
+        "sched,prof",
         [
-            (rule_t(), ServeProfile(0.7, 0.7), True),
-            (rule_c(3), ServeProfile(0.696, 0.55), True),
-            (rule_bj(1), ServeProfile(0.6, 0.45), False),
-            (rule_b(2), ServeProfile(0.7, 0.35), False),
+            (rule_t(), ServeProfile(0.7, 0.7)),
+            (rule_c(3), ServeProfile(0.696, 0.55)),
+            (rule_bj(1), ServeProfile(0.6, 0.45)),
+            (rule_b(2), ServeProfile(0.7, 0.35)),
         ],
+        ids=["T", "C3", "Bj1", "B2"],
     )
-    def test_bit_identical_sums(self, sched, prof, count_bp):
-        from servelab import _mc_kernel as compiled
+    def test_sums_match_per_game_reference(self, kernel, sched, prof):
+        seed, first, n = 12345, 17, 4000
+        got = kernel.run_batch(seed, first, n, sched.prefix_probs(prof),
+                               sched.cycle_probs(prof), sched.all_f_served, 10**6)
+        assert tuple(got) == per_game_sums(sched, prof, seed, first, n)
 
-        args = (
-            12345,
-            17,
-            4000,
-            sched.prefix_probs(prof),
-            sched.cycle_probs(prof),
-            count_bp,
-            10**6,
-        )
-        assert compiled.run_batch(*args) == fallback.run_batch(*args)
+    def test_truncated_games_are_counted(self, kernel):
+        # cycle probabilities (1, 0) never leave the tied region
+        sched, prof, n = rule_bj(1), ServeProfile(1.0, 0.0), 50
+        got = kernel.run_batch(3, 0, n, sched.prefix_probs(prof),
+                               sched.cycle_probs(prof), sched.all_f_served, 3)
+        assert tuple(got) == (0, 0, 0, 0, 0, 0, n)
 
 
 class TestEstimateMetrics:
@@ -125,15 +160,7 @@ class TestEstimateMetrics:
     def test_matches_per_game_simulation(self):
         sched, prof = rule_c(3), ServeProfile(0.696, 0.55)
         seed, n = 99, 50
-        wins = bp_games = pts = pts_sq = bps = bps_sq = 0
-        for i in range(n):
-            won, p, b = simulate_game(sched, prof, substream(seed, i))
-            wins += won
-            bp_games += b > 0
-            pts += p
-            pts_sq += p * p
-            bps += b
-            bps_sq += b * b
+        wins, bp_games, pts, _, bps, _, _ = per_game_sums(sched, prof, seed, 0, n)
         r = estimate_metrics(sched, prof, SimConfig(n_games=n, seed=seed))
         assert r.win_prob.mean == wins / n
         assert r.bp_prob.mean == bp_games / n
