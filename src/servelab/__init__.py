@@ -13,8 +13,7 @@ random-walk closure of the tied region.  Five rule variants are covered:
 
 Three independent evaluation paths keep each other honest: closed-form
 expressions (formulas), exact lattice propagation (engine), and a
-seedable Monte Carlo simulator (simulate) with a compiled kernel and a
-pure-Python fallback.
+seedable Monte Carlo simulator (simulate) with one pure-Python kernel.
 """
 
 from .atp import (

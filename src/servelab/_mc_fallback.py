@@ -1,10 +1,9 @@
-"""Pure-Python Monte Carlo kernel and the reference game loop.
+"""The Monte Carlo kernel (pure Python) and the game loop it runs.
 
 play_game is the one point-by-point game loop: simulate.simulate_game and
-run_batch both call it, and _mc_kernel.pyx compiles it draw for draw with
-integer accumulators only.  The generator is splitmix64 (documented in
-simulate.py); Python integers are masked to 64 bits where C code relies
-on natural wraparound.
+run_batch both call it.  The generator is splitmix64 (documented in
+simulate.py); Python integers are masked to 64 bits after every add and
+multiply.
 """
 
 from .errors import DeuceCapExceeded

@@ -27,6 +27,7 @@ __all__ = ["main", "entrypoint", "SweepSpec"]
 _METRIC_ORDER = ("win_prob", "bp_prob", "expected_points", "expected_bps")
 _EVAL_TOL = 1e-9
 _CUTOFFS = range(7)  # game C's single-serve cutoff x
+_MAX_SWEEP_POINTS = 100_001  # step 1e-5 over [0, 1]
 
 
 class _UsageError(Exception):
@@ -63,11 +64,18 @@ class SweepSpec:
             raise _UsageError(
                 f"step must lie in (0, stop - start], got {self.step}"
             )
+        if not self._steps() < _MAX_SWEEP_POINTS:
+            raise _UsageError(
+                f"step {self.step} gives more than {_MAX_SWEEP_POINTS} grid points"
+            )
         if self.delta is not None and not (0.0 <= self.delta <= 0.5):
             raise _UsageError(f"delta must lie in [0, 0.5], got {self.delta}")
 
+    def _steps(self) -> float:
+        return (self.stop - self.start) / self.step + 1e-9
+
     def grid(self) -> list[float]:
-        n = int((self.stop - self.start) / self.step + 1e-9)
+        n = int(self._steps())
         vals = [self.start + i * self.step for i in range(n + 1)]
         return [min(v, self.stop) for v in vals]
 
@@ -362,8 +370,8 @@ def _cmd_simulate(args) -> int:
     cfg = SimConfig(
         n_games=args.n, seed=args.seed, max_deuce_cycles=args.max_deuce_cycles
     )
+    m = metrics_exact(sched, prof)  # a singular profile fails here, before any draw
     res = estimate_metrics(sched, prof, cfg)
-    m = metrics_exact(sched, prof)
     rows = []
     for name in _METRIC_ORDER:
         est = getattr(res, name)

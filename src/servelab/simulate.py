@@ -22,10 +22,8 @@ u < its source probability.  Because every game owns an independent
 substream, sharding the batch over workers or machines cannot change
 the totals.  The game loop itself is written once, as
 _mc_fallback.play_game: simulate_game plays one game with it on a
-SplitMix64 stream, and the pure-Python kernel (_mc_fallback.run_batch)
-sums it over a batch.  The compiled kernel (_mc_kernel, built from
-Cython) reproduces play_game draw for draw, so both kernels are
-bit-for-bit interchangeable.
+SplitMix64 stream, and the one Monte Carlo kernel
+(_mc_fallback.run_batch, pure Python) sums it over a batch.
 """
 
 from __future__ import annotations
@@ -33,19 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import sqrt
 
+from ._mc_fallback import GAMMA, INV53, MASK, mix64, play_game, run_batch
 from .errors import DeuceCapExceeded, RangeError
 from .types import ServeProfile, ServeSchedule
-
-try:
-    from . import _mc_kernel as _kernel
-
-    _BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _mc_fallback as _kernel
-
-    _BACKEND = "pure-python"
-
-from ._mc_fallback import GAMMA, INV53, MASK, mix64, play_game
 
 __all__ = [
     "SimConfig",
@@ -60,8 +48,8 @@ __all__ = [
 
 
 def mc_backend() -> str:
-    """Which kernel estimate_metrics uses: 'compiled' or 'pure-python'."""
-    return _BACKEND
+    """Which kernel estimate_metrics uses; there is one, 'pure-python'."""
+    return "pure-python"
 
 
 class SplitMix64:
@@ -161,7 +149,7 @@ def estimate_metrics(
     raises DeuceCapExceeded if any game hits the deuce cycle cap.
     """
     count_bp = sched.all_f_served
-    wins, bp_games, pts, pts_sq, bps, bps_sq, truncated = _kernel.run_batch(
+    wins, bp_games, pts, pts_sq, bps, bps_sq, truncated = run_batch(
         cfg.seed,
         cfg.first_game,
         cfg.n_games,

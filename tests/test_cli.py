@@ -7,9 +7,10 @@ from xml.dom import minidom
 
 import pytest
 
+import servelab.cli
 from servelab import formulas
 from servelab.atp import sample_path
-from servelab.cli import main
+from servelab.cli import SweepSpec, main
 from servelab.types import RuleKind
 
 HEADER = "rank,name,p_f_in,p_f_won,p_s_won,p_t_won"
@@ -127,16 +128,31 @@ class TestSimulate:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["backend"] in ("compiled", "pure-python")
+        assert doc["backend"] == "pure-python"
         assert doc["n_games"] == 100
+        # the benchmark's start-up probe reaches the backend through the CLI module
+        assert servelab.cli.mc_backend() == servelab.mc_backend()
 
     def test_deuce_cap_is_a_data_error(self, capsys):
         code, _, err = run(
-            capsys, "simulate", "--game", "Bj", "--pf", "1", "--ps", "0",
-            "--max-deuce-cycles", "5",
+            capsys, "simulate", "--game", "Bj", "--pf", "0.5", "--ps", "0.5",
+            "--max-deuce-cycles", "1", "--n", "50",
         )
         assert code == 3
-        assert "error" in err
+        assert "deuce cycle cap" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--game", "Bj", "--pf", "1", "--ps", "0", "--n", "5"),
+            ("--game", "B", "--pf", "0", "--ps", "1", "--n", "2"),
+        ],
+    )
+    def test_singular_profile_fails_before_simulating(self, capsys, argv):
+        code, out, err = run(capsys, "simulate", *argv)
+        assert code == 3
+        assert "never terminates" in err
+        assert out == ""
 
     def test_bad_n(self, capsys):
         code, _, _ = run(capsys, "simulate", "--game", "T", "--p", "0.5", "--n", "0")
@@ -341,11 +357,16 @@ class TestSweep:
              "--start", "0.3", "--stop", "0.6", "--step", "0.1", "--out", "-"),
             ("sweep", "--games", "T", "--start", "0.1", "--stop", "0.2",
              "--step", "0.05", "--delta", "0.1", "--out", "-"),
+            ("sweep", "--games", "T", "--start", "0", "--stop", "1",
+             "--step", "1e-9", "--out", "-"),
         ],
     )
     def test_usage_errors(self, capsys, argv):
         code, _, _ = run(capsys, *argv)
         assert code == 2
+
+    def test_finest_allowed_grid(self):
+        assert len(SweepSpec("p", 0.0, 1.0, 1e-5).grid()) == 100_001
 
 
 class TestTopLevel:

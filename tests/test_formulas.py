@@ -200,3 +200,33 @@ class TestClosedMetrics:
         assert set(closed) == present
         for name, value in closed.items():
             assert value == pytest.approx(getattr(m, name), abs=1e-9)
+
+
+# the tied-region corners (0, 1), (1, 0) and the floats next to them
+_near_corner = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+def _singular(fn) -> bool:
+    try:
+        fn()
+    except SingularProfile:
+        return True
+    return False
+
+
+class TestSingularGuardsAgree:
+    """formulas._closure_denom and engine.deuce_closure guard the same
+    denominator on purpose, so the closed forms stay an independent check
+    of the engine; they must reject exactly the same profiles."""
+
+    @given(st.sampled_from(RuleKind), st.sampled_from((1, 2)), _near_corner, _near_corner)
+    @settings(max_examples=500, deadline=None)
+    def test_closed_forms_and_engine_reject_the_same_profiles(self, kind, order, pf, ps):
+        prof = ServeProfile(pf, ps)
+        sched = schedule_for(kind, order=order)
+        assert _singular(lambda: fm.closed_metrics(kind, prof)) == _singular(
+            lambda: engine.metrics_exact(sched, prof)
+        )
