@@ -32,7 +32,6 @@ from .errors import (
     ConsistencyError,
     DegenerateProfile,
     DeuceCapExceeded,
-    MixedServerBreakpoint,
     ParseError,
     RangeError,
     ServelabError,
@@ -77,13 +76,11 @@ from .simulate import (
     substream,
 )
 from .types import (
-    AlgebraTerm,
     GameMetrics,
     PointSource,
     RuleKind,
     ServeProfile,
     ServeSchedule,
-    eval_term,
     rule_a,
     rule_b,
     rule_bj,

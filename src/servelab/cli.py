@@ -25,7 +25,6 @@ from .types import RuleKind, ServeProfile, schedule_for
 __all__ = ["main", "entrypoint", "SweepSpec"]
 
 _METRIC_ORDER = ("win_prob", "bp_prob", "expected_points", "expected_bps")
-_EVAL_TOL = 1e-9
 _CUTOFFS = range(7)  # game C's single-serve cutoff x
 _MAX_SWEEP_POINTS = 100_001  # step 1e-5 over [0, 1]
 
@@ -180,7 +179,7 @@ def _cmd_eval(args) -> int:
         print("metric,closed_form,engine")
         for name, c, e in rows:
             print(f"{name},{_f6(c)},{_f6(e)}")
-    if worst > _EVAL_TOL:
+    if not all(formulas.agrees(c, e) for _, c, e in rows if c is not None):
         print(
             f"error: closed form and engine disagree by {worst:.3e}",
             file=sys.stderr,

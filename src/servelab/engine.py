@@ -2,7 +2,9 @@
 
 Exact probability propagation over the pre-tie score lattice (points
 1..6, at most 4x4x2 states) with an analytic geometric-series closure of
-the tied region, for arbitrary ServeSchedule.  Also a generalized
+the tied region, for arbitrary ServeSchedule.  All five games take the
+same path: a deuce-type game has an empty prefix, so its whole mass
+starts level and goes straight to the closure.  Also a generalized
 absorbing-barrier random-walk utility.
 
 The closed forms in formulas.py are validated against this module; on
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .errors import MixedServerBreakpoint, RangeError, SingularProfile
+from .errors import RangeError, SingularProfile
 from .types import GameMetrics, ServeProfile, ServeSchedule
 
 __all__ = ["deuce_closure", "metrics_exact", "walk_expected_duration", "TieClosure"]
@@ -68,14 +70,13 @@ class LatticeMasses(NamedTuple):
     len_sum: float  # sum over absorbed paths of (points played * mass)
     bp_first: float  # mass whose first break-point state occurs pre-tie
     bp_visits: float  # occupancy-weighted count of break-point states
-    tie_clean: float  # mass reaching 3:3 never having faced a break point
-    tie_seen: float  # mass reaching 3:3 after at least one break point
+    tie_clean: float  # mass level after the prefix, never having faced a break point
+    tie_seen: float  # mass level after the prefix, after at least one break point
 
 
 def _lattice(sched: ServeSchedule, prof: ServeProfile) -> LatticeMasses:
     win = lose = len_sum = 0.0
     bp_first = bp_visits = 0.0
-    tie = [0.0, 0.0]  # indexed by bp-seen flag
     states = {(0, 0, False): 1.0}
     for i, p in enumerate(sched.prefix_probs(prof)):
         nxt: dict[tuple[int, int, bool], float] = {}
@@ -91,51 +92,39 @@ def _lattice(sched: ServeSchedule, prof: ServeProfile) -> LatticeMasses:
             if f + 1 == 4:
                 win += wf
                 len_sum += (i + 1) * wf
-            elif f + 1 == 3 and s == 3:
-                tie[nseen] += wf
             else:
                 key = (f + 1, s, nseen)
                 nxt[key] = nxt.get(key, 0.0) + wf
             if s + 1 == 4:
                 lose += ws
                 len_sum += (i + 1) * ws
-            elif f == 3 and s + 1 == 3:
-                tie[nseen] += ws
             else:
                 key = (f, s + 1, nseen)
                 nxt[key] = nxt.get(key, 0.0) + ws
         states = nxt
-    # six points decide the game or tie it; nothing survives the loop
-    assert not states
+    # what survives the prefix is level: 3:3 after six points, or the
+    # starting 0:0 of a deuce-type game whose prefix is empty
+    tie = [0.0, 0.0]  # indexed by bp-seen flag
+    for (_, _, seen), m in states.items():
+        tie[seen] += m
     return LatticeMasses(win, lose, len_sum, bp_first, bp_visits, tie[0], tie[1])
 
 
-def metrics_exact(
-    sched: ServeSchedule, prof: ServeProfile, require_bp: bool = False
-) -> GameMetrics:
+def metrics_exact(sched: ServeSchedule, prof: ServeProfile) -> GameMetrics:
     """Exact GameMetrics for any schedule.
 
-    Break-point fields are filled only when F serves every point of the
-    schedule; pass require_bp=True to turn their absence into a
-    MixedServerBreakpoint error instead of None fields.
+    Every game runs through the same lattice: the prefix is propagated
+    point by point and whatever stays level after it enters the tied
+    region, which the deuce closure resolves.  Break-point fields are
+    filled only when F serves every point of the schedule; otherwise
+    they are None.
     """
     all_f = sched.all_f_served
-    if require_bp and not all_f:
-        raise MixedServerBreakpoint(
-            "break-point metrics are undefined when the serve changes hands"
-        )
     closure = deuce_closure(sched.cycle_probs(prof), with_bp=all_f)
-    if sched.deuce_only:
-        return GameMetrics(
-            win_prob=closure.win,
-            expected_points=closure.expected_len,
-            bp_prob=closure.bp_indicator,
-            expected_bps=closure.bp_count,
-        )
     lat = _lattice(sched, prof)
     tie_total = lat.tie_clean + lat.tie_seen
     win = lat.win + tie_total * closure.win
-    points = lat.len_sum + tie_total * (6.0 + closure.expected_len)
+    points = lat.len_sum + tie_total * (len(sched.prefix) + closure.expected_len)
     bp_prob = expected_bps = None
     if all_f:
         bp_prob = lat.bp_first + lat.tie_clean * closure.bp_indicator

@@ -17,12 +17,6 @@ class SingularProfile(ServelabError):
     """
 
 
-class MixedServerBreakpoint(ServelabError):
-    """Break-point metrics were requested for a schedule where the serve
-    changes hands; break points are only defined when one player serves
-    every point."""
-
-
 class DeuceCapExceeded(ServelabError):
     """A simulated deuce ran past the configured cycle cap, which signals
     a pathological profile such as (1, 0)."""

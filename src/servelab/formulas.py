@@ -15,11 +15,14 @@ says which game has which forms; `closed_metrics` evaluates them by game.
 
 from __future__ import annotations
 
+import math
+
 from .errors import SingularProfile
-from .types import AlgebraTerm, RuleKind, ServeProfile, eval_term
+from .types import RuleKind, ServeProfile
 
 __all__ = [
     "CLOSED_FORMS",
+    "agrees",
     "closed_metrics",
     "p_win_A",
     "p_bp_A",
@@ -136,43 +139,49 @@ def e_bp_T(p: float) -> float:
 
 # ---------------------------------------------------------------- B-type
 #
-# Monomial tables in the four-variable serve algebra; exponents are
-# (alpha, beta, gamma, delta) for p_S^a q_S^b p_F^g q_F^d.  Derived by
-# enumerating every pre-3:3 path of the alternating schedule and grouped
-# with the swap symmetry; verified against the exact engine.
-
-def _terms(spec):
-    return tuple(AlgebraTerm(c, e, sym) for c, e, sym in spec)
-
+# Monomial tables in the four-variable serve algebra.  An entry
+# (coeff, (a, b, g, d), symmetric) is coeff * p_S^a q_S^b p_F^g q_F^d with
+# q = 1 - p; a symmetric entry adds its twin with exponents (b, a, d, g),
+# the same monomial on the complemented profile.  Derived by enumerating
+# every pre-3:3 path of the alternating schedule and grouped with the swap
+# symmetry; verified against the exact engine.
 
 # mass reaching the first 3:3 tie: three points at each source, F takes 3 of 6
-_TIE_MASS = _terms([
+_TIE_MASS = (
     (9, (1, 2, 2, 1), True),
     (1, (3, 0, 0, 3), True),
-])
+)
 
-_B_WIN_PRE = _terms([
+_B_WIN_PRE = (
     (1, (2, 0, 2, 0), False),
     (2, (1, 1, 3, 0), False),
     (2, (2, 0, 2, 1), False),
     (6, (2, 1, 2, 1), False),
     (3, (3, 0, 1, 2), False),
     (1, (1, 2, 3, 0), False),
-])
+)
 
 # length-weighted absorption mass: 4 * end@4 + 5 * end@5 + 6 * end@6
-_B_LEN_PRE = _terms([
+_B_LEN_PRE = (
     (4, (2, 0, 2, 0), True),
     (10, (2, 0, 2, 1), True),
     (10, (1, 1, 3, 0), True),
     (18, (3, 0, 1, 2), True),
     (36, (2, 1, 2, 1), True),
     (6, (1, 2, 3, 0), True),
-])
+)
 
 
 def _tsum(terms, prof: ServeProfile) -> float:
-    return sum(eval_term(t, prof) for t in terms)
+    ps, pf = prof.p_s, prof.p_f
+    qs, qf = 1.0 - ps, 1.0 - pf
+    total = 0
+    for coeff, (a, b, g, d), symmetric in terms:
+        val = ps**a * qs**b * pf**g * qf**d
+        if symmetric:
+            val += ps**b * qs**a * pf**d * qf**g
+        total += coeff * val
+    return total
 
 
 def p_win_B(prof: ServeProfile) -> float:
@@ -194,48 +203,48 @@ def e_points_B(prof: ServeProfile) -> float:
 # C(3): points 1..3 resolve at p_F (two attempts), every later point at
 # p_S (single attempt), F serving throughout so break points are defined.
 
-_C_WIN_PRE = _terms([
+_C_WIN_PRE = (
     (1, (1, 0, 3, 0), False),
     (1, (1, 1, 3, 0), False),
     (3, (2, 0, 2, 1), False),
     (1, (1, 2, 3, 0), False),
     (6, (2, 1, 2, 1), False),
     (3, (3, 0, 1, 2), False),
-])
+)
 
-_C_LEN_PRE = _terms([
+_C_LEN_PRE = (
     (4, (1, 0, 3, 0), True),
     (5, (1, 1, 3, 0), True),
     (15, (2, 0, 2, 1), True),
     (18, (3, 0, 1, 2), True),
     (36, (2, 1, 2, 1), True),
     (6, (1, 2, 3, 0), True),
-])
+)
 
 # first arrival at a stand-one-point-from-break state (S at 3, F at <= 2)
-_C_BP_FIRST = _terms([
+_C_BP_FIRST = (
     (1, (0, 0, 0, 3), False),
     (3, (0, 1, 1, 2), False),
     (3, (0, 2, 2, 1), False),
     (3, (1, 1, 1, 2), False),
-])
+)
 
 # mass reaching 3:3 without ever having faced a break point
-_C_TIE_CLEAN = _terms([
+_C_TIE_CLEAN = (
     (1, (0, 3, 3, 0), False),
     (6, (1, 2, 2, 1), False),
     (3, (2, 1, 1, 2), False),
-])
+)
 
 # every occupancy of a break-point state before 3:3, counted per point
-_C_BP_VISITS = _terms([
+_C_BP_VISITS = (
     (1, (0, 0, 0, 3), False),
     (1, (1, 0, 0, 3), False),
     (1, (2, 0, 0, 3), False),
     (3, (0, 1, 1, 2), False),
     (6, (1, 1, 1, 2), False),
     (3, (0, 2, 2, 1), False),
-])
+)
 
 
 def _c_tie_denom(prof: ServeProfile) -> float:
@@ -302,3 +311,10 @@ def closed_metrics(kind: RuleKind, prof: ServeProfile, x: int = 3) -> dict[str, 
         return {}
     arg = prof.p_f if kind in (RuleKind.A, RuleKind.T) else prof
     return {field: fn(arg) for field, fn in CLOSED_FORMS[kind]}
+
+
+def agrees(closed: float, engine: float) -> bool:
+    """The closed-form/engine agreement rule: |closed - engine| <= 1e-9
+    for values up to 1000, a relative 1e-12 beyond (huge expected lengths
+    near a singular profile differ in the last place)."""
+    return math.isclose(closed, engine, rel_tol=1e-12, abs_tol=1e-9)

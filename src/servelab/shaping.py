@@ -147,10 +147,8 @@ def compare_table(rows: list[PlayerStats], x: int = 3) -> list[CompareRow]:
     T metrics come from the closed forms at the blended chance; C(x)
     metrics from the exact engine at (p_F = blend, p_S = second-serve
     rate).  Where game C has closed forms (x = 3) they are cross-checked
-    against the engine to 1e-9 as a self-test.
+    against the engine under `formulas.agrees` as a self-test.
     """
-    if not isinstance(x, int) or not (0 <= x <= 6):
-        raise RangeError(f"x must be an integer in 0..6, got {x!r}")
     out = []
     sched = rule_c(x)
     for stats in rows:
@@ -158,8 +156,8 @@ def compare_table(rows: list[PlayerStats], x: int = 3) -> list[CompareRow]:
         prof = ServeProfile(p_f=blended, p_s=stats.p_s_won)
         mc = metrics_exact(sched, prof)
         closed = formulas.closed_metrics(RuleKind.C, prof, x)
-        worst = max((abs(v - getattr(mc, f)) for f, v in closed.items()), default=0.0)
-        if worst > 1e-9:
+        if not all(formulas.agrees(v, getattr(mc, f)) for f, v in closed.items()):
+            worst = max(abs(v - getattr(mc, f)) for f, v in closed.items())
             raise ConsistencyError(
                 f"closed C forms diverged from the engine by {worst:.3e} "
                 f"for rank {stats.rank}"

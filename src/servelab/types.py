@@ -16,8 +16,6 @@ __all__ = [
     "ServeProfile",
     "ServeSchedule",
     "GameMetrics",
-    "AlgebraTerm",
-    "eval_term",
     "rule_a",
     "rule_bj",
     "rule_t",
@@ -224,37 +222,3 @@ class GameMetrics:
     def has_bp(self) -> bool:
         return self.bp_prob is not None
 
-
-@dataclass(frozen=True)
-class AlgebraTerm:
-    """One monomial of the four-variable serve algebra.
-
-    A plain term evaluates to
-
-        coeff * p_S**alpha * q_S**beta * p_F**gamma * q_F**delta
-
-    with q = 1 - p throughout.  A symmetric term adds the swapped twin
-    with exponents (beta, alpha, delta, gamma); swapping exponents this
-    way equals complementing both profile entries.
-    """
-
-    coeff: int
-    exponents: tuple[int, int, int, int]
-    symmetric: bool = False
-
-    def __post_init__(self):
-        if self.coeff < 0:
-            raise RangeError(f"coeff must be >= 0, got {self.coeff}")
-        if len(self.exponents) != 4 or any(e < 0 for e in self.exponents):
-            raise RangeError(f"exponents must be four non-negative integers, got {self.exponents!r}")
-
-
-def eval_term(t: AlgebraTerm, prof: ServeProfile) -> float:
-    """Evaluate a monomial (or its symmetric pair) on a profile."""
-    ps, pf = prof.p_s, prof.p_f
-    qs, qf = 1.0 - ps, 1.0 - pf
-    a, b, c, d = t.exponents
-    val = ps**a * qs**b * pf**c * qf**d
-    if t.symmetric:
-        val += ps**b * qs**a * pf**d * qf**c
-    return t.coeff * val

@@ -6,6 +6,8 @@ import json
 from xml.dom import minidom
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import servelab.cli
 from servelab import formulas
@@ -92,6 +94,17 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--game", "T", "--p", "0.6")
         assert code == 4
         assert "disagree" in err
+
+    def test_last_place_gap_on_a_huge_length_agrees(self, capsys):
+        # expected points ~1.67e10, where closed form and engine differ by
+        # one ulp (1.9e-6 absolute); formulas.agrees accepts that gap
+        code, out, err = run(
+            capsys, "eval", "--game", "B",
+            "--pf", "0.9999999999085221", "--ps", "2.845773617600403e-11",
+        )
+        assert code == 0
+        assert err == ""
+        assert "expected_points,16675605832.53269" in out
 
 
 class TestSimulate:
@@ -383,3 +396,81 @@ class TestTopLevel:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "eval" in out and "sweep" in out
+
+
+# Number strings for every numeric flag: valid values that keep each run
+# short, plus the non-finite, subnormal, huge and malformed kinds.  No pool
+# value makes a near-singular profile (which would make `simulate` play
+# astronomically long games), and every valid --step is >= 0.05.
+_WEIRD = ("nan", "inf", "-inf", str(2**64), "junk", "", "-1", "0x10", "1e308")
+_prob = st.sampled_from(("0", "1", "0.5", "0.3", "5e-324")) | st.sampled_from(_WEIRD)
+_num = st.sampled_from(("1", "2", "3", "0x10")) | st.sampled_from(_WEIRD)
+_small_n = st.sampled_from(("1", "7", "50", "nan", "inf", "5e-324", "0", "junk"))
+_step = st.sampled_from(("0.05", "0.1", "0.25")) | st.sampled_from(_WEIRD + ("5e-324", "0"))
+_json = st.sampled_from(([], ["--json"]))
+
+
+def _flag(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+def _rare(flag, values):
+    """Usually nothing, sometimes [flag, value]."""
+    return st.integers(0, 5).flatmap(lambda i: _flag(flag, values) if i == 3 else st.just([]))
+
+
+def _concat(*parts):
+    """One argv list from strategies that each draw a list of arguments."""
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+def _game_flags(game):
+    if game in ("A", "T"):
+        probs = _flag("--p", _prob)
+    else:
+        probs = _concat(_flag("--pf", _prob), _flag("--ps", _prob))
+    return _concat(
+        st.just(["--game", game]), probs, _rare("--p", _prob), _rare("--pf", _prob),
+        _rare("--x", _num), _rare("--order", _num),
+    )
+
+
+def _argv(csv_paths, out_paths, svg_paths):
+    game = st.sampled_from(("A", "Bj", "T", "B", "C", "Z")).flatmap(_game_flags)
+    csv = csv_paths.map(lambda p: [p])
+    games = st.sampled_from(("A", "T,Bj", "B,C", "Z", "", "A,,T"))
+    return st.one_of(
+        _concat(st.just(["eval"]), game, _json),
+        _concat(st.just(["simulate"]), game, _flag("--n", _small_n), _rare("--seed", _num),
+                _rare("--max-deuce-cycles", _num), _json),
+        _concat(st.just(["sweep"]), _flag("--games", games),
+                _rare("--var", st.sampled_from(("p", "p_F", "q"))),
+                _flag("--start", st.sampled_from(("0", "0.3")) | _prob),
+                _flag("--stop", st.sampled_from(("0.6", "1")) | _prob),
+                _flag("--step", _step), _rare("--delta", _prob), _rare("--x", _num),
+                _flag("--out", out_paths), _rare("--svg", svg_paths)),
+        _concat(st.just(["fit"]), csv, _json),
+        _concat(st.just(["shape"]), csv,
+                _flag("--low", st.sampled_from(("1", "6", "99", "junk", "nan"))),
+                _flag("--high", st.sampled_from(("1", "2", "99", "junk", "inf"))),
+                _rare("--p-low", _prob), _rare("--p-high", _prob), _json),
+        _concat(st.just(["compare"]), csv, _rare("--x", _num), _json),
+    )
+
+
+class TestArgvFuzz:
+    """Every argv ends in a documented exit code, never in a traceback."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_codes_are_documented(self, capsys, tmp_path, data):
+        junk = tmp_path / "junk.csv"
+        junk.write_bytes(b"rank,name\n1,nan,\xff\n")
+        csv_paths = st.sampled_from((SAMPLE, str(junk), str(tmp_path / "missing.csv")))
+        out_paths = st.sampled_from(("-", str(tmp_path / "o.csv"), str(tmp_path / "no" / "o.csv")))
+        svg_paths = st.sampled_from((str(tmp_path / "s.svg"), str(tmp_path)))
+        argv = data.draw(_argv(csv_paths, out_paths, svg_paths))
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err, argv

@@ -6,7 +6,7 @@ import pytest
 
 from servelab import engine, formulas as fm
 from servelab.engine import deuce_closure, metrics_exact, walk_expected_duration
-from servelab.errors import MixedServerBreakpoint, RangeError, SingularProfile
+from servelab.errors import RangeError, SingularProfile
 from servelab.types import (
     ServeProfile,
     rule_a,
@@ -161,6 +161,8 @@ class TestMetricsExact:
             (rule_b(1), ServeProfile(0.7, 0.35)),
             (rule_b(2), ServeProfile(0.7, 0.35)),
             (rule_bj(1), ServeProfile(0.6, 0.45)),
+            (rule_a(), ServeProfile(0.57, 0.57)),
+            (rule_bj(2), ServeProfile(0.6, 0.45)),
         ],
     )
     def test_against_path_enumeration(self, sched, prof):
@@ -198,7 +200,8 @@ class TestMetricsExact:
         assert c.bp_prob == pytest.approx(0.345079, abs=5e-7)
 
     def test_mass_conservation(self):
-        for sched in (rule_t(), rule_b(1), rule_b(2), rule_c(0), rule_c(3), rule_c(6)):
+        for sched in (rule_a(), rule_bj(1), rule_bj(2), rule_t(), rule_b(1), rule_b(2),
+                      rule_c(0), rule_c(3), rule_c(6)):
             for prof in (ServeProfile(0.7, 0.3), ServeProfile(0.05, 0.95),
                          ServeProfile(0.5, 0.5)):
                 lat = engine._lattice(sched, prof)
@@ -236,15 +239,6 @@ class TestMetricsExact:
             prof = ServeProfile(i / 10, max(0.05, i / 10 - 0.1))
             m = metrics_exact(rule_c(3), prof)
             assert m.expected_bps >= m.bp_prob - 1e-14
-
-    @pytest.mark.parametrize("sched", [rule_b(1), rule_bj(1)])
-    def test_require_bp_on_alternating_serve(self, sched):
-        with pytest.raises(MixedServerBreakpoint):
-            metrics_exact(sched, ServeProfile(0.6, 0.5), require_bp=True)
-
-    def test_require_bp_accepted_for_fixed_server(self):
-        m = metrics_exact(rule_t(), ServeProfile(0.6, 0.6), require_bp=True)
-        assert m.has_bp
 
     def test_singular_profile_propagates(self):
         with pytest.raises(SingularProfile):

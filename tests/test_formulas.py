@@ -230,3 +230,37 @@ class TestSingularGuardsAgree:
         assert _singular(lambda: fm.closed_metrics(kind, prof)) == _singular(
             lambda: engine.metrics_exact(sched, prof)
         )
+
+
+# a profile 1e-12 to 1e-3 away from one of the four corners of the unit square
+_offset = st.floats(min_value=-12.0, max_value=-3.0).map(lambda e: 10.0**e)
+
+
+def _near(corner: float, offset: float) -> float:
+    return offset if corner == 0.0 else 1.0 - offset
+
+
+class TestAgreementNearCorners:
+    """Near (1, 0) and (0, 1) the alternating games run for up to ~1e12
+    points, so closed form and engine differ in the last place there;
+    formulas.agrees must still accept every closed form."""
+
+    @given(st.sampled_from(RuleKind), st.sampled_from((1, 2)),
+           st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)]),
+           _offset, _offset)
+    @settings(max_examples=1000, deadline=None)
+    def test_every_closed_form_agrees_with_the_engine(self, kind, order, corner, df, ds):
+        prof = ServeProfile(_near(corner[0], df), _near(corner[1], ds))
+        m = engine.metrics_exact(schedule_for(kind, order=order), prof)
+        for name, value in fm.closed_metrics(kind, prof).items():
+            assert fm.agrees(value, getattr(m, name)), (name, value, getattr(m, name))
+
+    @given(st.floats(min_value=0.0, max_value=999.0), st.floats(min_value=-3e-9, max_value=3e-9))
+    def test_absolute_1e9_up_to_1000(self, a, gap):
+        b = abs(a + gap)
+        assert fm.agrees(a, b) == (abs(a - b) <= 1e-9)
+
+    def test_relative_beyond_1000(self):
+        big = 16675605832.532696
+        assert fm.agrees(big, math.nextafter(big, math.inf))
+        assert not fm.agrees(big, big * (1.0 + 1e-11))

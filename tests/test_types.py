@@ -1,14 +1,13 @@
 import pytest
 
 from servelab.errors import RangeError
+from servelab.formulas import _tsum
 from servelab.types import (
-    AlgebraTerm,
     GameMetrics,
     PointSource,
     RuleKind,
     ServeProfile,
     ServeSchedule,
-    eval_term,
     rule_a,
     rule_b,
     rule_bj,
@@ -135,45 +134,39 @@ class TestGameMetrics:
 
 
 class TestAlgebraTerm:
+    """Semantics of one monomial table entry, summed by formulas._tsum."""
+
     def test_plain_product(self):
-        t = AlgebraTerm(1, (1, 0, 1, 0))
-        assert eval_term(t, ServeProfile(0.5, 0.5)) == pytest.approx(0.25)
+        t = ((1, (1, 0, 1, 0), False),)
+        assert _tsum(t, ServeProfile(0.5, 0.5)) == pytest.approx(0.25)
 
     def test_symmetric_pair_definition(self):
-        t = AlgebraTerm(1, (1, 0, 1, 0), symmetric=True)
+        t = ((1, (1, 0, 1, 0), True),)
         for i in range(1, 20):
             p = i / 20
             q = 1.0 - p
-            assert eval_term(t, ServeProfile(p, p)) == pytest.approx(p * p + q * q, abs=1e-15)
+            assert _tsum(t, ServeProfile(p, p)) == pytest.approx(p * p + q * q, abs=1e-15)
 
     def test_symmetric_against_expanded_product(self):
         # spell the two monomials out by hand as an independent check
-        t = AlgebraTerm(9, (1, 2, 2, 1), symmetric=True)
+        t = ((9, (1, 2, 2, 1), True),)
         prof = ServeProfile(0.696, 0.55)
         ps, pf = 0.55, 0.696
         qs, qf = 1 - ps, 1 - pf
         by_hand = 9 * (ps * qs**2 * pf**2 * qf + ps**2 * qs * pf * qf**2)
-        assert eval_term(t, prof) == pytest.approx(by_hand, abs=1e-15)
+        assert _tsum(t, prof) == pytest.approx(by_hand, abs=1e-15)
 
     def test_self_symmetric_doubles(self):
-        plain = AlgebraTerm(3, (2, 2, 1, 1))
-        sym = AlgebraTerm(3, (2, 2, 1, 1), symmetric=True)
+        plain = ((3, (2, 2, 1, 1), False),)
+        sym = ((3, (2, 2, 1, 1), True),)
         for prof in [ServeProfile(0.3, 0.9), ServeProfile(0.62, 0.55)]:
-            assert eval_term(sym, prof) == pytest.approx(2 * eval_term(plain, prof), abs=1e-15)
+            assert _tsum(sym, prof) == pytest.approx(2 * _tsum(plain, prof), abs=1e-15)
 
     def test_relabel_identity(self):
         # complementing the profile equals swapping the exponent pairs
-        t = AlgebraTerm(5, (3, 1, 0, 2))
-        swapped = AlgebraTerm(5, (1, 3, 2, 0))
+        t = ((5, (3, 1, 0, 2), False),)
+        swapped = ((5, (1, 3, 2, 0), False),)
         for prof in [ServeProfile(0.7, 0.2), ServeProfile(0.44, 0.81)]:
-            assert eval_term(t, prof.swapped()) == pytest.approx(
-                eval_term(swapped, prof), abs=1e-15
+            assert _tsum(t, prof.swapped()) == pytest.approx(
+                _tsum(swapped, prof), abs=1e-15
             )
-
-    def test_validation(self):
-        with pytest.raises(RangeError):
-            AlgebraTerm(-1, (0, 0, 0, 0))
-        with pytest.raises(RangeError):
-            AlgebraTerm(1, (0, 0, -2, 0))
-        with pytest.raises(RangeError):
-            AlgebraTerm(1, (0, 0, 0))
