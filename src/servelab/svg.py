@@ -3,7 +3,7 @@ beyond axes, ticks, series colors and a legend."""
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 from .errors import RangeError
 
@@ -62,7 +62,7 @@ def polyline_chart(series, title: str = "", x_label: str = "",
     if title:
         out.append(
             f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="13">{escape(title, quote=False)}</text>'
         )
     # axes
     ax_y = _MARGIN_T + ph
@@ -96,14 +96,14 @@ def polyline_chart(series, title: str = "", x_label: str = "",
     if x_label:
         out.append(
             f'<text x="{_MARGIN_L + pw / 2:.1f}" y="{height - 8}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{escape(x_label)}</text>'
+            f'font-family="sans-serif" font-size="11">{escape(x_label, quote=False)}</text>'
         )
     if y_label:
         cx, cy = 14, _MARGIN_T + ph / 2
         out.append(
             f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11" '
-            f'transform="rotate(-90 {cx} {cy:.1f})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 {cx} {cy:.1f})">{escape(y_label, quote=False)}</text>'
         )
     # series
     for i, (label, pts) in enumerate(series):
@@ -123,7 +123,7 @@ def polyline_chart(series, title: str = "", x_label: str = "",
         )
         out.append(
             f'<text x="{lx + 23}" y="{ly + 3}" font-family="sans-serif" '
-            f'font-size="10">{escape(label)}</text>'
+            f'font-size="10">{escape(label, quote=False)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out)

@@ -4,6 +4,8 @@ import importlib
 import pkgutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import servelab
 from servelab import _mc_fallback as fallback
@@ -16,7 +18,7 @@ from servelab.simulate import (
     simulate_game,
     substream,
 )
-from servelab.types import ServeProfile, rule_b, rule_bj, rule_c, rule_t
+from servelab.types import ServeProfile, rule_a, rule_b, rule_bj, rule_c, rule_t
 
 # published reference outputs of the splitmix64 generator for initial
 # state 1234567 (advance by GAMMA, then finalize)
@@ -93,12 +95,17 @@ class TestSimulateGame:
         assert rng.k == 0  # a game that raises consumes no draws
 
 
-def per_game_sums(sched, prof, seed, first, n):
-    """run_batch's 7-tuple built from simulate_game, one substream per game."""
-    wins = bp_games = pts = pts_sq = bps = bps_sq = 0
+def per_game_sums(sched, prof, seed, first, n, max_deuce_cycles=10**6):
+    """run_batch's 7-tuple built from simulate_game, one substream per game;
+    a game that raises DeuceCapExceeded counts as truncated."""
+    wins = bp_games = pts = pts_sq = bps = bps_sq = truncated = 0
     for i in range(first, first + n):
         rng = substream(seed, i)
-        won, p, b = simulate_game(sched, prof, rng)
+        try:
+            won, p, b = simulate_game(sched, prof, rng, max_deuce_cycles)
+        except DeuceCapExceeded:
+            truncated += 1
+            continue
         assert rng.k == p  # one draw per point
         wins += won
         bp_games += b > 0
@@ -106,7 +113,7 @@ def per_game_sums(sched, prof, seed, first, n):
         pts_sq += p * p
         bps += b
         bps_sq += b * b
-    return (wins, bp_games, pts, pts_sq, bps, bps_sq, 0)
+    return (wins, bp_games, pts, pts_sq, bps, bps_sq, truncated)
 
 
 def _kernels():
@@ -122,6 +129,14 @@ def _kernels():
         if callable(getattr(mod, "run_batch", None)):
             found.append(mod)
     return found
+
+
+_SCHEDULES = (rule_a(), rule_bj(1), rule_bj(2), rule_t(), rule_b(1), rule_b(2),
+              *(rule_c(x) for x in range(7)))
+# half the time an end of [0, 1] or a float next to one
+_EDGE_PROBS = (0.0, 1.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53)
+_prob = st.one_of(st.sampled_from(_EDGE_PROBS), st.floats(min_value=0.0, max_value=1.0))
+_CHUNK = fallback.CHUNK
 
 
 @pytest.mark.parametrize("kernel", _kernels(), ids=lambda m: m.__name__.rsplit(".", 1)[1])
@@ -148,6 +163,35 @@ class TestKernelParity:
         got = kernel.run_batch(3, 0, n, sched.prefix_probs(prof),
                                sched.cycle_probs(prof), sched.all_f_served, 3)
         assert tuple(got) == (0, 0, 0, 0, 0, 0, n)
+
+    def test_truncated_and_finished_games_mix(self, kernel):
+        # one cycle of Bj at p = 0.5 decides about half the games
+        sched, prof, n = rule_bj(1), ServeProfile(0.5, 0.5), _CHUNK + 1
+        got = kernel.run_batch(8, 0, n, sched.prefix_probs(prof),
+                               sched.cycle_probs(prof), sched.all_f_served, 1)
+        assert tuple(got) == per_game_sums(sched, prof, 8, 0, n, max_deuce_cycles=1)
+        assert 0 < got[6] < n
+
+    @given(sched=st.sampled_from(_SCHEDULES), pf=_prob, ps=_prob,
+           n=st.sampled_from((1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)),
+           cap=st.sampled_from((1, 2, 40)), seed=st.integers(0, 2**64 - 1),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sums_match_on_every_schedule(self, kernel, sched, pf, ps, n, cap, seed, data):
+        first = data.draw(st.one_of(st.integers(0, 2**64 - n), st.just(2**64 - n)))
+        prof = ServeProfile(pf, ps)
+        got = kernel.run_batch(seed, first, n, sched.prefix_probs(prof),
+                               sched.cycle_probs(prof), sched.all_f_served, cap)
+        assert tuple(got) == per_game_sums(sched, prof, seed, first, n, cap)
+
+
+class TestThreshold:
+    @pytest.mark.parametrize("p", _EDGE_PROBS + (0.5, 0.696))
+    def test_integer_compare_matches_float_draw(self, p):
+        t = fallback.threshold(p)
+        for m in (t - 2048, t - 1, t, t + 2047):
+            if 0 <= m <= fallback.MASK:
+                assert ((m >> 11) * fallback.INV53 < p) == (m < t)
 
 
 class TestEstimateMetrics:
