@@ -199,14 +199,15 @@ def _out_stream(path: str):
 
 def _cmd_sweep(args) -> int:
     spec = SweepSpec(args.var, args.start, args.stop, args.step, args.delta)
-    kinds = []
+    games = []
     for name in args.games.split(","):
         name = name.strip()
         try:
-            kinds.append(RuleKind(name))
+            kind = RuleKind(name)
         except ValueError:
             raise _UsageError(f"unknown game {name!r} (choose from A,Bj,T,B,C)")
-    if not kinds:
+        games.append((kind, schedule_for(kind, x=args.x)))
+    if not games:
         raise _UsageError("at least one game is required")
     delta = spec.delta if spec.delta is not None else 0.0
     two_var = spec.variable == "p_F"
@@ -222,8 +223,7 @@ def _cmd_sweep(args) -> int:
             prof = ServeProfile(v, ps)
         else:
             prof = ServeProfile(v, v)
-        for kind in kinds:
-            sched = schedule_for(kind, x=args.x)
+        for kind, sched in games:
             try:
                 m = metrics_exact(sched, prof)
             except ServelabError as exc:  # singular corner of the grid

@@ -1,10 +1,12 @@
 """Ground-truth evaluator.
 
 Exact probability propagation over the pre-tie score lattice (points
-1..6, at most 4x4x2 states) with an analytic geometric-series closure of
-the tied region, for arbitrary ServeSchedule.  All five games take the
-same path: a deuce-type game has an empty prefix, so its whole mass
-starts level and goes straight to the closure.  Also a generalized
+1..6) with an analytic geometric-series closure of the tied region, for
+arbitrary ServeSchedule.  Every six-point prefix has the same lattice
+states, so the lattice is written out as straight-line arithmetic over
+the six point chances, in a fixed operation order.  All five games
+take the same path: a deuce-type game has an empty prefix, so its whole
+mass starts level and goes straight to the closure.  Also a generalized
 absorbing-barrier random-walk utility.
 
 The closed forms in formulas.py are validated against this module; on
@@ -74,40 +76,58 @@ class LatticeMasses(NamedTuple):
     tie_seen: float  # mass level after the prefix, after at least one break point
 
 
+_LEVEL_START = LatticeMasses(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+
+
 def _lattice(sched: ServeSchedule, prof: ServeProfile) -> LatticeMasses:
-    win = lose = len_sum = 0.0
-    bp_first = bp_visits = 0.0
-    states = {(0, 0, False): 1.0}
-    for i, p in enumerate(sched.prefix_probs(prof)):
-        nxt: dict[tuple[int, int, bool], float] = {}
-        for (f, s, seen), m in states.items():
-            at_bp = s == 3 and f <= 2
-            if at_bp:
-                bp_visits += m
-                if not seen:
-                    bp_first += m
-            nseen = seen or at_bp
-            wf = m * p
-            ws = m - wf
-            if f + 1 == 4:
-                win += wf
-                len_sum += (i + 1) * wf
-            else:
-                key = (f + 1, s, nseen)
-                nxt[key] = nxt.get(key, 0.0) + wf
-            if s + 1 == 4:
-                lose += ws
-                len_sum += (i + 1) * ws
-            else:
-                key = (f, s + 1, nseen)
-                nxt[key] = nxt.get(key, 0.0) + ws
-        states = nxt
-    # what survives the prefix is level: 3:3 after six points, or the
-    # starting 0:0 of a deuce-type game whose prefix is empty
-    tie = [0.0, 0.0]  # indexed by bp-seen flag
-    for (_, _, seen), m in states.items():
-        tie[seen] += m
-    return LatticeMasses(win, lose, len_sum, bp_first, bp_visits, tie[0], tie[1])
+    """Propagate the six-point prefix; mXY is the mass at F X : S Y.
+
+    Written out state by state, since every six-point schedule has the
+    same lattice.  At a break point (receiver at 3, F at most 2) the mass
+    is split into fresh mXY and mXY_seen (a break point was faced
+    earlier).  At each point a..d are the masses that F winning it moves
+    out of each state; the rest (m - a, not m * (1 - p)) moves when F
+    loses it.  The operations and their order are those of
+    `dict_lattice` in tests/test_engine.py: F reaching 4, the interior
+    states, then break points, fresh before seen.  Accumulators sum left
+    to right (`lose = lose + a + b`, never `lose += a + b`), so every
+    field is bit-identical to that reference.
+    """
+    if not sched.prefix:
+        # a deuce-type game starts level, before any break point
+        return _LEVEL_START
+    p0, p1, p2, p3, p4, p5 = sched.prefix_probs(prof)
+    # points 1-3 decide nothing
+    m10, m01 = p0, 1.0 - p0
+    a, b = m10 * p1, m01 * p1
+    m20, m11, m02 = a, (m10 - a) + b, m01 - b
+    a, b, c = m20 * p2, m11 * p2, m02 * p2
+    m30, m21, m12, m03 = a, (m20 - a) + b, (m11 - b) + c, m02 - c
+    # point 4: F wins from 3:0, or loses the break point at 0:3
+    a, b, c, d = m30 * p3, m21 * p3, m12 * p3, m03 * p3
+    win, lose = a, m03 - d
+    len_sum = 4 * win + 4 * lose
+    bp_visits = bp_first = m03
+    m31, m22, m13, m13_seen = (m30 - a) + b, (m21 - b) + c, m12 - c, d
+    # point 5: F wins from 3:1, or loses a break point at 1:3
+    a, b, c, d = m31 * p4, m22 * p4, m13 * p4, m13_seen * p4
+    lost, lost_seen = m13 - c, m13_seen - d
+    win += a
+    lose = lose + lost + lost_seen
+    len_sum = len_sum + 5 * a + 5 * lost + 5 * lost_seen
+    bp_visits = bp_visits + m13 + m13_seen
+    bp_first += m13
+    m32, m23, m23_seen = (m31 - a) + b, m22 - b, c + d
+    # point 6: F wins from 3:2, or loses a break point at 2:3; the rest
+    # is level at 3:3
+    a, c, d = m32 * p5, m23 * p5, m23_seen * p5
+    lost, lost_seen = m23 - c, m23_seen - d
+    win += a
+    lose = lose + lost + lost_seen
+    len_sum = len_sum + 6 * a + 6 * lost + 6 * lost_seen
+    bp_visits = bp_visits + m23 + m23_seen
+    bp_first += m23
+    return LatticeMasses(win, lose, len_sum, bp_first, bp_visits, m32 - a, c + d)
 
 
 def metrics_exact(sched: ServeSchedule, prof: ServeProfile) -> GameMetrics:

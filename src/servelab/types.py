@@ -123,13 +123,15 @@ class ServeSchedule:
     @property
     def all_f_served(self) -> bool:
         """True when F serves every point, so break points are defined."""
-        return all(src.server == "F" for src in self.prefix + self.deuce_cycle)
+        return _S not in self.prefix and _S not in self.deuce_cycle
 
     def prefix_probs(self, prof: ServeProfile) -> tuple[float, ...]:
-        return tuple(src.prob(prof) for src in self.prefix)
+        p_f, p_s = prof.p_f, prof.p_s
+        return tuple([p_f if src is _F else p_s for src in self.prefix])
 
     def cycle_probs(self, prof: ServeProfile) -> tuple[float, ...]:
-        return tuple(src.prob(prof) for src in self.deuce_cycle)
+        p_f, p_s = prof.p_f, prof.p_s
+        return tuple([p_f if src is _F else p_s for src in self.deuce_cycle])
 
 
 _F = PointSource.F_FULL

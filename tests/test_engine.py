@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from servelab import engine, formulas as fm
-from servelab.engine import deuce_closure, metrics_exact, walk_expected_duration
+from servelab.engine import LatticeMasses, deuce_closure, metrics_exact, walk_expected_duration
 from servelab.errors import RangeError, SingularProfile
 from servelab.types import (
     ServeProfile,
@@ -15,6 +17,11 @@ from servelab.types import (
     rule_c,
     rule_t,
 )
+
+_SCHEDULES = (rule_a(), rule_bj(1), rule_bj(2), rule_t(), rule_b(1), rule_b(2),
+              *(rule_c(x) for x in range(7)))
+_EDGE_PROBS = (0.0, 1.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, 1e-300)
+_prob = st.one_of(st.sampled_from(_EDGE_PROBS), st.floats(min_value=0.0, max_value=1.0))
 
 
 def brute_tie(a, b, with_bp=False, passes=20000):
@@ -45,6 +52,45 @@ def brute_tie(a, b, with_bp=False, passes=20000):
             level_clean += level_seen
             level_seen = 0.0
     return win, length, bp_first, bp_count
+
+
+def dict_lattice(probs):
+    """Reference pre-tie lattice: point-by-point propagation over a dict.
+
+    States are (f, s, seen) keys, seen meaning a break point was faced
+    before this state.  engine._lattice must reproduce it bit for bit.
+    """
+    win = lose = len_sum = 0.0
+    bp_first = bp_visits = 0.0
+    states = {(0, 0, False): 1.0}
+    for i, p in enumerate(probs):
+        nxt = {}
+        for (f, s, seen), m in states.items():
+            at_bp = s == 3 and f <= 2
+            if at_bp:
+                bp_visits += m
+                if not seen:
+                    bp_first += m
+            nseen = seen or at_bp
+            wf = m * p
+            ws = m - wf
+            if f + 1 == 4:
+                win += wf
+                len_sum += (i + 1) * wf
+            else:
+                key = (f + 1, s, nseen)
+                nxt[key] = nxt.get(key, 0.0) + wf
+            if s + 1 == 4:
+                lose += ws
+                len_sum += (i + 1) * ws
+            else:
+                key = (f, s + 1, nseen)
+                nxt[key] = nxt.get(key, 0.0) + ws
+        states = nxt
+    tie = [0.0, 0.0]  # indexed by the seen flag
+    for (_, _, seen), m in states.items():
+        tie[seen] += m
+    return LatticeMasses(win, lose, len_sum, bp_first, bp_visits, tie[0], tie[1])
 
 
 def brute_metrics(sched, prof):
@@ -207,6 +253,15 @@ class TestMetricsExact:
                 lat = engine._lattice(sched, prof)
                 total = lat.win + lat.lose + lat.tie_clean + lat.tie_seen
                 assert total == pytest.approx(1.0, abs=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sched=st.sampled_from(_SCHEDULES), pf=_prob, ps=_prob)
+    def test_lattice_is_bit_identical_to_dict_propagation(self, sched, pf, ps):
+        prof = ServeProfile(pf, ps)
+        got = engine._lattice(sched, prof)
+        want = dict_lattice(sched.prefix_probs(prof))
+        for name, a, b in zip(LatticeMasses._fields, got, want):
+            assert a == b, name
 
     def test_alternation_order_is_irrelevant(self):
         for i in range(1, 10):
