@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 
 from . import formulas
@@ -207,8 +208,6 @@ def _cmd_sweep(args) -> int:
         except ValueError:
             raise _UsageError(f"unknown game {name!r} (choose from A,Bj,T,B,C)")
         games.append((kind, schedule_for(kind, x=args.x)))
-    if not games:
-        raise _UsageError("at least one game is required")
     delta = spec.delta if spec.delta is not None else 0.0
     two_var = spec.variable == "p_F"
     rows = []
@@ -456,6 +455,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Show a library warning (e.g. a duplicate rank) as sweep shows its own."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -468,17 +472,19 @@ def main(argv=None) -> int:
     if getattr(args, "func", None) is None:
         print("usage error: a subcommand is required (see --help)", file=sys.stderr)
         return 2
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ServelabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except _UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        except ConsistencyError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
+        except (ServelabError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
 
 
 def entrypoint() -> None:

@@ -30,24 +30,26 @@ class TieClosure(NamedTuple):
 
     win: float
     expected_len: float
-    bp_indicator: float | None
-    bp_count: float | None
+    bp_indicator: float
+    bp_count: float
 
 
-def deuce_closure(cycle: Sequence[float], with_bp: bool = False) -> TieClosure:
+def deuce_closure(cycle: Sequence[float]) -> TieClosure:
     """Resolve the tied region for a repeating cycle of 1 or 2 point chances.
 
     The region starts level; each pass through the cycle either decides
     the game (both points to one side) or returns to level, giving
-    geometric-series closed forms.  With with_bp=True (only meaningful
-    when F serves the whole cycle) the break-point fields are filled:
-    the indicator is the chance the receiver ever reaches advantage, the
-    count is the expected number of receiver-advantage points played.
+    geometric-series closed forms.  The break-point fields mean something
+    only when F serves the whole cycle: the indicator is the chance the
+    receiver ever reaches advantage, the count is the expected number of
+    receiver-advantage points played.
     """
     if len(cycle) not in (1, 2):
         raise RangeError(f"cycle length must be 1 or 2, got {len(cycle)}")
     a = float(cycle[0])
     b = float(cycle[1]) if len(cycle) == 2 else a
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        raise RangeError(f"cycle chances must lie in [0, 1], got ({a}, {b})")
     denom = a * b + (1.0 - a) * (1.0 - b)
     if denom < _MIN_DENOM:
         raise SingularProfile(
@@ -55,12 +57,11 @@ def deuce_closure(cycle: Sequence[float], with_bp: bool = False) -> TieClosure:
         )
     win = a * b / denom
     expected_len = 2.0 / denom
-    bp_indicator = bp_count = None
-    if with_bp:
-        # first passage to receiver advantage: lose now, or hold one
-        # point then win the next and try again from level
-        bp_indicator = (1.0 - a) / ((1.0 - a) + a * b)
-        bp_count = (1.0 - a) / denom
+    # first passage to receiver advantage: lose now, or hold one point
+    # then win the next and try again from level; for chances in [0, 1],
+    # (1 - a) + a * b is 0 only at (a, b) = (1, 0), rejected above
+    bp_indicator = (1.0 - a) / ((1.0 - a) + a * b)
+    bp_count = (1.0 - a) / denom
     return TieClosure(win, expected_len, bp_indicator, bp_count)
 
 
@@ -140,7 +141,7 @@ def metrics_exact(sched: ServeSchedule, prof: ServeProfile) -> GameMetrics:
     they are None.
     """
     all_f = sched.all_f_served
-    closure = deuce_closure(sched.cycle_probs(prof), with_bp=all_f)
+    closure = deuce_closure(sched.cycle_probs(prof))
     lat = _lattice(sched, prof)
     tie_total = lat.tie_clean + lat.tie_seen
     win = lat.win + tie_total * closure.win

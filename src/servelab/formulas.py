@@ -3,9 +3,9 @@
 One operation per published quantity: win probability, break-point
 probability, expected number of points, expected number of break points,
 for the A / Bj / T / B / C(3) games.  Validated against the exact engine
-(see engine.py), which is the authoritative definition; the monomial
-tables below were derived by symbolic path enumeration and cross-checked
-against the engine to 1e-12.
+(see engine.py), which is the authoritative definition; the B and C(3)
+polynomials below were derived by symbolic path enumeration and
+cross-checked against the engine to 1e-12.
 
 Conventions: p is F's per-point win chance where a single number suffices
 (A, T); two-variable games take a ServeProfile (p_F, p_S) with q = 1 - p
@@ -139,147 +139,96 @@ def e_bp_T(p: float) -> float:
 
 # ---------------------------------------------------------------- B-type
 #
-# Monomial tables in the four-variable serve algebra.  An entry
-# (coeff, (a, b, g, d), symmetric) is coeff * p_S^a q_S^b p_F^g q_F^d with
-# q = 1 - p; a symmetric entry adds its twin with exponents (b, a, d, g),
-# the same monomial on the complemented profile.  Derived by enumerating
-# every pre-3:3 path of the alternating schedule and grouped with the swap
-# symmetry; verified against the exact engine.
-
-# mass reaching the first 3:3 tie: three points at each source, F takes 3 of 6
-_TIE_MASS = (
-    (9, (1, 2, 2, 1), True),
-    (1, (3, 0, 0, 3), True),
-)
-
-_B_WIN_PRE = (
-    (1, (2, 0, 2, 0), False),
-    (2, (1, 1, 3, 0), False),
-    (2, (2, 0, 2, 1), False),
-    (6, (2, 1, 2, 1), False),
-    (3, (3, 0, 1, 2), False),
-    (1, (1, 2, 3, 0), False),
-)
-
-# length-weighted absorption mass: 4 * end@4 + 5 * end@5 + 6 * end@6
-_B_LEN_PRE = (
-    (4, (2, 0, 2, 0), True),
-    (10, (2, 0, 2, 1), True),
-    (10, (1, 1, 3, 0), True),
-    (18, (3, 0, 1, 2), True),
-    (36, (2, 1, 2, 1), True),
-    (6, (1, 2, 3, 0), True),
-)
+# The B and C(3) forms are polynomials in p_S, q_S, p_F, q_F (q = 1 - p),
+# derived by enumerating every pre-3:3 path of the schedule and verified
+# against the exact engine.  A bracketed pair is a monomial plus its twin on
+# the complemented profile (p <-> q at both sources).  Coefficients multiply
+# their bracket and terms add left to right: that grouping fixes every float
+# operation, so regrouping would change results in the last place.
 
 
-def _tsum(terms, prof: ServeProfile) -> float:
-    ps, pf = prof.p_s, prof.p_f
-    qs, qf = 1.0 - ps, 1.0 - pf
-    total = 0
-    for coeff, (a, b, g, d), symmetric in terms:
-        val = ps**a * qs**b * pf**g * qf**d
-        if symmetric:
-            val += ps**b * qs**a * pf**d * qf**g
-        total += coeff * val
-    return total
+def _tie_mass(ps: float, qs: float, pf: float, qf: float) -> float:
+    """Mass reaching the first 3:3 tie: three points at each source, F takes 3 of 6."""
+    return (9 * (ps * qs**2 * pf**2 * qf + ps**2 * qs * pf * qf**2)
+            + (ps**3 * qf**3 + qs**3 * pf**3))
 
 
 def p_win_B(prof: ServeProfile) -> float:
     """Chance F wins the complete alternating-serve game."""
     d = _closure_denom(prof.p_f, prof.p_s)
-    tie = _tsum(_TIE_MASS, prof)
-    return _tsum(_B_WIN_PRE, prof) + tie * prof.p_f * prof.p_s / d
+    ps, pf = prof.p_s, prof.p_f
+    qs, qf = 1.0 - ps, 1.0 - pf
+    pre = (ps**2 * pf**2 + 2 * (ps * qs * pf**3) + 2 * (ps**2 * pf**2 * qf)
+           + 6 * (ps**2 * qs * pf**2 * qf) + 3 * (ps**3 * pf * qf**2)
+           + ps * qs**2 * pf**3)
+    return pre + _tie_mass(ps, qs, pf, qf) * pf * ps / d
 
 
 def e_points_B(prof: ServeProfile) -> float:
     """Expected number of points in the complete alternating-serve game."""
     d = _closure_denom(prof.p_f, prof.p_s)
-    tie = _tsum(_TIE_MASS, prof)
-    return _tsum(_B_LEN_PRE, prof) + tie * (6.0 + 2.0 / d)
+    ps, pf = prof.p_s, prof.p_f
+    qs, qf = 1.0 - ps, 1.0 - pf
+    # length-weighted absorption mass: 4 * end@4 + 5 * end@5 + 6 * end@6
+    pre = (4 * (ps**2 * pf**2 + qs**2 * qf**2)
+           + 10 * (ps**2 * pf**2 * qf + qs**2 * pf * qf**2)
+           + 10 * (ps * qs * pf**3 + ps * qs * qf**3)
+           + 18 * (ps**3 * pf * qf**2 + qs**3 * pf**2 * qf)
+           + 36 * (ps**2 * qs * pf**2 * qf + ps * qs**2 * pf * qf**2)
+           + 6 * (ps * qs**2 * pf**3 + ps**2 * qs * qf**3))
+    return pre + _tie_mass(ps, qs, pf, qf) * (6.0 + 2.0 / d)
 
 
 # ---------------------------------------------------------------- C-type
 #
 # C(3): points 1..3 resolve at p_F (two attempts), every later point at
 # p_S (single attempt), F serving throughout so break points are defined.
-
-_C_WIN_PRE = (
-    (1, (1, 0, 3, 0), False),
-    (1, (1, 1, 3, 0), False),
-    (3, (2, 0, 2, 1), False),
-    (1, (1, 2, 3, 0), False),
-    (6, (2, 1, 2, 1), False),
-    (3, (3, 0, 1, 2), False),
-)
-
-_C_LEN_PRE = (
-    (4, (1, 0, 3, 0), True),
-    (5, (1, 1, 3, 0), True),
-    (15, (2, 0, 2, 1), True),
-    (18, (3, 0, 1, 2), True),
-    (36, (2, 1, 2, 1), True),
-    (6, (1, 2, 3, 0), True),
-)
-
-# first arrival at a stand-one-point-from-break state (S at 3, F at <= 2)
-_C_BP_FIRST = (
-    (1, (0, 0, 0, 3), False),
-    (3, (0, 1, 1, 2), False),
-    (3, (0, 2, 2, 1), False),
-    (3, (1, 1, 1, 2), False),
-)
-
-# mass reaching 3:3 without ever having faced a break point
-_C_TIE_CLEAN = (
-    (1, (0, 3, 3, 0), False),
-    (6, (1, 2, 2, 1), False),
-    (3, (2, 1, 1, 2), False),
-)
-
-# every occupancy of a break-point state before 3:3, counted per point
-_C_BP_VISITS = (
-    (1, (0, 0, 0, 3), False),
-    (1, (1, 0, 0, 3), False),
-    (1, (2, 0, 0, 3), False),
-    (3, (0, 1, 1, 2), False),
-    (6, (1, 1, 1, 2), False),
-    (3, (0, 2, 2, 1), False),
-)
-
-
-def _c_tie_denom(prof: ServeProfile) -> float:
-    ps = prof.p_s
-    qs = 1.0 - ps
-    return ps * ps + qs * qs  # >= 1/2, never singular
+# The tie cycle plays at p_S alone: ps * ps + qs * qs >= 1/2, never singular.
 
 
 def p_win_C(prof: ServeProfile) -> float:
     """Chance F wins the C(3) game."""
-    ps = prof.p_s
-    tie = _tsum(_TIE_MASS, prof)
-    return _tsum(_C_WIN_PRE, prof) + tie * ps * ps / _c_tie_denom(prof)
+    ps, pf = prof.p_s, prof.p_f
+    qs, qf = 1.0 - ps, 1.0 - pf
+    pre = (ps * pf**3 + ps * qs * pf**3 + 3 * (ps**2 * pf**2 * qf) + ps * qs**2 * pf**3
+           + 6 * (ps**2 * qs * pf**2 * qf) + 3 * (ps**3 * pf * qf**2))
+    return pre + _tie_mass(ps, qs, pf, qf) * ps * ps / (ps * ps + qs * qs)
 
 
 def p_bp_C(prof: ServeProfile) -> float:
     """Chance at least one break point occurs in the C(3) game."""
-    ps = prof.p_s
-    qs = 1.0 - ps
-    clean = _tsum(_C_TIE_CLEAN, prof)
-    return _tsum(_C_BP_FIRST, prof) + clean * qs / (qs + ps * ps)
+    ps, pf = prof.p_s, prof.p_f
+    qs, qf = 1.0 - ps, 1.0 - pf
+    # first arrival at a stand-one-point-from-break state (S at 3, F at <= 2)
+    first = (qf**3 + 3 * (qs * pf * qf**2) + 3 * (qs**2 * pf**2 * qf)
+             + 3 * (ps * qs * pf * qf**2))
+    # mass reaching 3:3 without ever having faced a break point
+    clean = (qs**3 * pf**3 + 6 * (ps * qs**2 * pf**2 * qf)
+             + 3 * (ps**2 * qs * pf * qf**2))
+    return first + clean * qs / (qs + ps * ps)
 
 
 def e_points_C(prof: ServeProfile) -> float:
     """Expected number of points in the C(3) game."""
-    tie = _tsum(_TIE_MASS, prof)
-    return _tsum(_C_LEN_PRE, prof) + tie * (6.0 + 2.0 / _c_tie_denom(prof))
+    ps, pf = prof.p_s, prof.p_f
+    qs, qf = 1.0 - ps, 1.0 - pf
+    pre = (4 * (ps * pf**3 + qs * qf**3)
+           + 5 * (ps * qs * pf**3 + ps * qs * qf**3)
+           + 15 * (ps**2 * pf**2 * qf + qs**2 * pf * qf**2)
+           + 18 * (ps**3 * pf * qf**2 + qs**3 * pf**2 * qf)
+           + 36 * (ps**2 * qs * pf**2 * qf + ps * qs**2 * pf * qf**2)
+           + 6 * (ps * qs**2 * pf**3 + ps**2 * qs * qf**3))
+    return pre + _tie_mass(ps, qs, pf, qf) * (6.0 + 2.0 / (ps * ps + qs * qs))
 
 
 def e_bp_C(prof: ServeProfile) -> float:
     """Expected number of break points in the C(3) game."""
-    ps = prof.p_s
-    qs = 1.0 - ps
-    tie = _tsum(_TIE_MASS, prof)
-    return _tsum(_C_BP_VISITS, prof) + tie * qs / _c_tie_denom(prof)
+    ps, pf = prof.p_s, prof.p_f
+    qs, qf = 1.0 - ps, 1.0 - pf
+    # every occupancy of a break-point state before 3:3, counted per point
+    visits = (qf**3 + ps * qf**3 + ps**2 * qf**3 + 3 * (qs * pf * qf**2)
+              + 6 * (ps * qs * pf * qf**2) + 3 * (qs**2 * pf**2 * qf))
+    return visits + _tie_mass(ps, qs, pf, qf) * qs / (ps * ps + qs * qs)
 
 
 # ---------------------------------------------------------------- table

@@ -82,6 +82,10 @@ class SimConfig:
     first_game: int = 0  # absolute index of the first game (shard offset)
 
     def __post_init__(self):
+        for name in ("n_games", "seed", "max_deuce_cycles", "first_game"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise RangeError(f"{name} must be an integer, got {value!r}")
         if self.n_games < 1:
             raise RangeError(f"n_games must be >= 1, got {self.n_games}")
         if self.max_deuce_cycles < 1:

@@ -225,6 +225,17 @@ class TestFit:
         assert "UTF-8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv", [("fit",), ("compare",), ("shape", "--low", "2", "--high", "1")]
+    )
+    def test_duplicate_rank_is_one_warning_line(self, capsys, tmp_path, argv):
+        f = tmp_path / "dup.csv"
+        f.write_text(f"{HEADER}\n1,x,0.62,0.77,0.57,0.88\n2,y,0.6,0.7,0.5,0.8\n"
+                     "1,z,0.6,0.75,0.55,0.85\n", encoding="utf-8")
+        code, _, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert code == 0
+        assert err == "warning: duplicate rank 1 in stats table (line 4)\n"
+
 
 class TestShape:
     def test_by_name_and_rank(self, capsys):

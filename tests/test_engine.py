@@ -142,19 +142,15 @@ def brute_metrics(sched, prof):
 
 class TestDeuceClosure:
     def test_single_cycle_matches_fixed_server_forms(self):
-        c = deuce_closure((0.55,), with_bp=True)
+        c = deuce_closure((0.55,))
         assert c.win == pytest.approx(fm.p_win_A(0.55), abs=1e-15)
         assert c.expected_len == pytest.approx(fm.e_points_A(0.55), abs=1e-15)
         assert c.bp_indicator == pytest.approx(fm.p_bp_A(0.55), abs=1e-15)
         assert c.bp_count == pytest.approx(fm.e_bp_A(0.55), abs=1e-15)
 
-    def test_without_bp_fields_are_none(self):
-        c = deuce_closure((0.55,))
-        assert c.bp_indicator is None and c.bp_count is None
-
     @pytest.mark.parametrize("a,b", [(0.55, 0.55), (0.7, 0.4), (0.31, 0.86)])
     def test_against_series_iteration(self, a, b):
-        c = deuce_closure((a, b), with_bp=True)
+        c = deuce_closure((a, b))
         win, length, first, count = brute_tie(a, b, with_bp=True)
         assert c.win == pytest.approx(win, abs=1e-12)
         assert c.expected_len == pytest.approx(length, abs=1e-12)
@@ -172,6 +168,11 @@ class TestDeuceClosure:
 
     @pytest.mark.parametrize("cycle", [(), (0.5, 0.5, 0.5)])
     def test_bad_cycle_length(self, cycle):
+        with pytest.raises(RangeError):
+            deuce_closure(cycle)
+
+    @pytest.mark.parametrize("cycle", [(2.0, 0.5), (1.5,), (-0.5, 0.2), (float("nan"),)])
+    def test_chance_outside_unit_interval(self, cycle):
         with pytest.raises(RangeError):
             deuce_closure(cycle)
 

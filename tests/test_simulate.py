@@ -260,6 +260,10 @@ class TestEstimateMetrics:
             {"n_games": 5, "seed": 0, "first_game": -1},
             {"n_games": 1, "seed": 0, "first_game": 2**64},
             {"n_games": 2, "seed": 0, "first_game": 2**64 - 1},
+            {"n_games": 2.5, "seed": 0},
+            {"n_games": 5, "seed": 1.5},
+            {"n_games": 5, "seed": 0, "max_deuce_cycles": 2.5},
+            {"n_games": 5, "seed": 0, "first_game": 0.5},
         ],
     )
     def test_config_validation(self, kwargs):

@@ -1,7 +1,6 @@
 import pytest
 
 from servelab.errors import RangeError
-from servelab.formulas import _tsum
 from servelab.types import (
     GameMetrics,
     PointSource,
@@ -132,41 +131,3 @@ class TestGameMetrics:
         assert GameMetrics(0.5, 4.0, 0.1, 0.2).has_bp
         assert not GameMetrics(0.5, 4.0).has_bp
 
-
-class TestAlgebraTerm:
-    """Semantics of one monomial table entry, summed by formulas._tsum."""
-
-    def test_plain_product(self):
-        t = ((1, (1, 0, 1, 0), False),)
-        assert _tsum(t, ServeProfile(0.5, 0.5)) == pytest.approx(0.25)
-
-    def test_symmetric_pair_definition(self):
-        t = ((1, (1, 0, 1, 0), True),)
-        for i in range(1, 20):
-            p = i / 20
-            q = 1.0 - p
-            assert _tsum(t, ServeProfile(p, p)) == pytest.approx(p * p + q * q, abs=1e-15)
-
-    def test_symmetric_against_expanded_product(self):
-        # spell the two monomials out by hand as an independent check
-        t = ((9, (1, 2, 2, 1), True),)
-        prof = ServeProfile(0.696, 0.55)
-        ps, pf = 0.55, 0.696
-        qs, qf = 1 - ps, 1 - pf
-        by_hand = 9 * (ps * qs**2 * pf**2 * qf + ps**2 * qs * pf * qf**2)
-        assert _tsum(t, prof) == pytest.approx(by_hand, abs=1e-15)
-
-    def test_self_symmetric_doubles(self):
-        plain = ((3, (2, 2, 1, 1), False),)
-        sym = ((3, (2, 2, 1, 1), True),)
-        for prof in [ServeProfile(0.3, 0.9), ServeProfile(0.62, 0.55)]:
-            assert _tsum(sym, prof) == pytest.approx(2 * _tsum(plain, prof), abs=1e-15)
-
-    def test_relabel_identity(self):
-        # complementing the profile equals swapping the exponent pairs
-        t = ((5, (3, 1, 0, 2), False),)
-        swapped = ((5, (1, 3, 2, 0), False),)
-        for prof in [ServeProfile(0.7, 0.2), ServeProfile(0.44, 0.81)]:
-            assert _tsum(t, prof.swapped()) == pytest.approx(
-                _tsum(swapped, prof), abs=1e-15
-            )
