@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ParseError, RangeError
 from .formulas import p_win_T
+from .types import _Record, _set
 
 __all__ = [
     "PlayerStats",
@@ -28,8 +29,7 @@ _HEADER = ("rank", "name", "p_f_in", "p_f_won", "p_s_won", "p_t_won")
 _RATE_FIELDS = ("p_f_in", "p_f_won", "p_s_won", "p_t_won")
 
 
-@dataclass(frozen=True)
-class PlayerStats:
+class PlayerStats(_Record):
     """One player row: observed service rates, two-decimal precision at
     the source.
 
@@ -38,24 +38,33 @@ class PlayerStats:
     won.
     """
 
-    rank: int
-    name: str
-    p_f_in: float
-    p_f_won: float
-    p_s_won: float
-    p_t_won: float
+    __slots__ = _fields = ("rank", "name", "p_f_in", "p_f_won", "p_s_won", "p_t_won")
+
+    def __init__(
+        self,
+        rank: int,
+        name: str,
+        p_f_in: float,
+        p_f_won: float,
+        p_s_won: float,
+        p_t_won: float,
+    ):
+        _set(self, "rank", rank)
+        _set(self, "name", name)
+        _set(self, "p_f_in", p_f_in)
+        _set(self, "p_f_won", p_f_won)
+        _set(self, "p_s_won", p_s_won)
+        _set(self, "p_t_won", p_t_won)
 
 
-@dataclass(frozen=True)
-class FitRow:
+class FitRow(NamedTuple):
     stats: PlayerStats
     p_emp: float
     predicted: float  # model game-win chance at p_emp
     residual: float  # observed p_t_won minus predicted
 
 
-@dataclass(frozen=True)
-class FitSummary:
+class FitSummary(NamedTuple):
     max_abs_residual: float
     mean_residual: float
     nonpositive_count: int  # how many residuals are <= 0
@@ -70,6 +79,8 @@ def _rows_with_line_numbers(source):
             text = Path(source).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"stats file is not UTF-8 text ({exc.reason})") from None
+    # spreadsheet exports often start with a byte-order mark
+    text = text.removeprefix("\ufeff")
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -82,7 +93,8 @@ def parse_stats(source) -> list[PlayerStats]:
 
     Expected layout: '#' comment lines, then the header
     rank,name,p_f_in,p_f_won,p_s_won,p_t_won, then one CSV row per
-    player with rates as decimals in [0,1] (0.62, never 62).
+    player with rates as decimals in [0,1] (0.62, never 62).  A leading
+    UTF-8 byte-order mark is ignored.
     """
     rows: list[PlayerStats] = []
     seen_header = False

@@ -12,7 +12,6 @@ import contextlib
 import json
 import sys
 import warnings
-from dataclasses import dataclass
 
 from . import formulas
 from .atp import fit_report, parse_stats
@@ -20,14 +19,14 @@ from .engine import metrics_exact
 from .errors import ConsistencyError, ServelabError
 from .shaping import ShapingTargets, compare_table, recommend_cutoff
 from .simulate import SimConfig, estimate_metrics, mc_backend
-from .svg import polyline_chart
-from .types import RuleKind, ServeProfile, schedule_for
+from .types import RuleKind, ServeProfile, _Record, _set, schedule_for
 
 __all__ = ["main", "entrypoint", "SweepSpec"]
 
 _METRIC_ORDER = ("win_prob", "bp_prob", "expected_points", "expected_bps")
 _CUTOFFS = range(7)  # game C's single-serve cutoff x
 _MAX_SWEEP_POINTS = 100_001  # step 1e-5 over [0, 1]
+_MAX_SIM_GAMES = 10**8  # a few minutes of simulate at ~0.6M games/s
 
 
 class _UsageError(Exception):
@@ -39,21 +38,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Record):
     """Grid request for sweep: which variable runs, over what range.
 
     With variable "p" both profile entries equal the grid value; with
     variable "p_F" the grid value is p_F and p_S = 1 - p_F + delta.
     """
 
-    variable: str
-    start: float
-    stop: float
-    step: float
-    delta: float | None = None
+    __slots__ = _fields = ("variable", "start", "stop", "step", "delta")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        variable: str,
+        start: float,
+        stop: float,
+        step: float,
+        delta: float | None = None,
+    ):
+        _set(self, "variable", variable)
+        _set(self, "start", start)
+        _set(self, "stop", stop)
+        _set(self, "step", step)
+        _set(self, "delta", delta)
         if self.variable not in ("p", "p_F"):
             raise _UsageError(f"variable must be p or p_F, got {self.variable!r}")
         if self.delta is not None and self.variable != "p_F":
@@ -97,6 +103,13 @@ def _posint(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+    return v
+
+
+def _n_games(text: str) -> int:
+    v = _posint(text)
+    if v > _MAX_SIM_GAMES:
+        raise argparse.ArgumentTypeError(f"must be <= {_MAX_SIM_GAMES}, got {v}")
     return v
 
 
@@ -244,6 +257,8 @@ def _cmd_sweep(args) -> int:
             for game, name, prof, value in rows:
                 fh.write(f"{game},{name},{_f6(prof.p_f)},{_f6(value)}\n")
     if args.svg:
+        from .svg import polyline_chart  # only sweep draws; spare the others the import
+
         chart = polyline_chart(
             sorted(series.items()),
             title="metric sweep",
@@ -255,10 +270,15 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
-    rows = parse_stats(args.csv)
+def _stats_rows(path: str):
+    rows = parse_stats(path)
     if not rows:
         raise _UsageError("stats file has no data rows")
+    return rows
+
+
+def _cmd_fit(args) -> int:
+    rows = _stats_rows(args.csv)
     fit_rows, summary = fit_report(rows)
     if args.json:
         doc = {
@@ -309,7 +329,7 @@ def _find_player(rows, selector: str):
 
 
 def _cmd_shape(args) -> int:
-    rows = parse_stats(args.csv)
+    rows = _stats_rows(args.csv)
     low = _find_player(rows, args.low)
     high = _find_player(rows, args.high)
     targets = ShapingTargets(args.p_low, args.p_high)
@@ -338,9 +358,7 @@ def _cmd_shape(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rows = parse_stats(args.csv)
-    if not rows:
-        raise _UsageError("stats file has no data rows")
+    rows = _stats_rows(args.csv)
     table = compare_table(rows, args.x)
     cols = ("p_emp", "p_s_won", "p_t", "p_c", "p_t_br", "p_c_br",
             "e_t", "e_c", "e_t_br", "e_c_br")
@@ -445,7 +463,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="Monte Carlo check against the engine")
     _add_game_flags(p)
-    p.add_argument("--n", type=_posint, default=10_000)
+    p.add_argument("--n", type=_n_games, default=10_000,
+                   help=f"games to play, at most {_MAX_SIM_GAMES}")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-deuce-cycles", type=_posint, default=10**6,
                    dest="max_deuce_cycles")

@@ -9,13 +9,13 @@ player's blended point chance averages out to the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import formulas
 from .atp import PlayerStats, p_emp
 from .engine import metrics_exact
 from .errors import ConsistencyError, DegenerateProfile, RangeError
-from .types import RuleKind, ServeProfile, rule_c
+from .types import RuleKind, ServeProfile, _Record, _set, rule_c
 
 __all__ = [
     "ShapingTargets",
@@ -28,14 +28,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShapingTargets:
+class ShapingTargets(_Record):
     """Desired band for the server's game-win probability."""
 
-    p_win_low: float = 0.60
-    p_win_high: float = 0.75
+    __slots__ = _fields = ("p_win_low", "p_win_high")
 
-    def __post_init__(self):
+    def __init__(self, p_win_low: float = 0.60, p_win_high: float = 0.75):
+        _set(self, "p_win_low", p_win_low)
+        _set(self, "p_win_high", p_win_high)
         if not (0.5 < self.p_win_low < self.p_win_high < 1.0):
             raise RangeError(
                 "targets must satisfy 0.5 < low < high < 1, got "
@@ -43,8 +43,7 @@ class ShapingTargets:
             )
 
 
-@dataclass(frozen=True)
-class ShapingSolution:
+class ShapingSolution(NamedTuple):
     p_trad: float  # point chance whose game-win value is the low target
     p_exc: float  # point chance whose game-win value is the high target
     x_low: float  # cutoff solving the weaker player onto p_trad
@@ -123,8 +122,7 @@ def recommend_cutoff(
     )
 
 
-@dataclass(frozen=True)
-class CompareRow:
+class CompareRow(NamedTuple):
     """One player's metrics under the existing game (T columns) and the
     proposed game (C columns)."""
 

@@ -30,12 +30,12 @@ threshold; its sums are bit-identical to play_game's, game by game.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
+from typing import NamedTuple
 
 from ._mc_fallback import GAMMA, INV53, MASK, mix64, play_game, run_batch
 from .errors import DeuceCapExceeded, RangeError
-from .types import ServeProfile, ServeSchedule
+from .types import ServeProfile, ServeSchedule, _Record, _set
 
 __all__ = [
     "SimConfig",
@@ -74,15 +74,20 @@ def substream(seed: int, game_index: int) -> SplitMix64:
     return SplitMix64(mix64((seed + (game_index + 1) * GAMMA) & MASK))
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    n_games: int
-    seed: int
-    max_deuce_cycles: int = 10**6
-    first_game: int = 0  # absolute index of the first game (shard offset)
+class SimConfig(_Record):
+    """One Monte Carlo batch; first_game is the absolute index of its first
+    game (the shard offset)."""
 
-    def __post_init__(self):
-        for name in ("n_games", "seed", "max_deuce_cycles", "first_game"):
+    __slots__ = _fields = ("n_games", "seed", "max_deuce_cycles", "first_game")
+
+    def __init__(
+        self, n_games: int, seed: int, max_deuce_cycles: int = 10**6, first_game: int = 0
+    ):
+        _set(self, "n_games", n_games)
+        _set(self, "seed", seed)
+        _set(self, "max_deuce_cycles", max_deuce_cycles)
+        _set(self, "first_game", first_game)
+        for name in self._fields:
             value = getattr(self, name)
             if not isinstance(value, int):
                 raise RangeError(f"{name} must be an integer, got {value!r}")
@@ -101,14 +106,12 @@ class SimConfig:
             )
 
 
-@dataclass(frozen=True)
-class MetricEstimate:
+class MetricEstimate(NamedTuple):
     mean: float
     std_err: float | None  # None when n_games == 1
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     win_prob: MetricEstimate
     expected_points: MetricEstimate
     bp_prob: MetricEstimate | None

@@ -1,12 +1,15 @@
 """Domain vocabulary: probabilities, serve profiles, rule kinds, schedules.
 
-All types are immutable values and safe to share between threads.
+All types are immutable values and safe to share between threads.  The
+value classes here and in the other modules derive from _Record: their
+fields live in __slots__, __init__ writes each one once through
+object.__setattr__, and any later assignment or deletion raises
+AttributeError.  Pure result records are typing.NamedTuple instead.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import RangeError
 
@@ -23,6 +26,46 @@ __all__ = [
     "rule_c",
     "schedule_for",
 ]
+
+
+_set = object.__setattr__  # how a _Record's __init__ writes its fields
+
+
+class _Record:
+    """Immutable value whose ==, hash and repr read its _fields in order.
+
+    A subclass names its fields once, as `__slots__ = _fields = (...)`,
+    and writes them in its own __init__ with _set before checking them.
+    Equality holds only between instances of the same class; repr reads
+    `Name(field=value, ...)`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return self.__class__, self._values()
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -70,8 +113,7 @@ class RuleKind(enum.Enum):
     C = "C"
 
 
-@dataclass(frozen=True)
-class ServeProfile:
+class ServeProfile(_Record):
     """The pair (p_F, p_S).
 
     p_f: chance F wins a point on a full (two-attempt) serve.
@@ -79,20 +121,20 @@ class ServeProfile:
          serves or when F is restricted to a single attempt.
     """
 
-    p_f: float
-    p_s: float
+    __slots__ = _fields = ("p_f", "p_s")
 
-    def __post_init__(self):
-        _check_unit("p_f", self.p_f)
-        _check_unit("p_s", self.p_s)
+    def __init__(self, p_f: float, p_s: float):
+        _set(self, "p_f", p_f)
+        _set(self, "p_s", p_s)
+        _check_unit("p_f", p_f)
+        _check_unit("p_s", p_s)
 
     def swapped(self) -> "ServeProfile":
         """Complement both entries; relabels which player is favoured."""
         return ServeProfile(1.0 - self.p_f, 1.0 - self.p_s)
 
 
-@dataclass(frozen=True)
-class ServeSchedule:
+class ServeSchedule(_Record):
     """Per-point probability-source pattern for one game.
 
     prefix: sources for points 1..6 (a complete game reaches 3:3 or is
@@ -103,17 +145,20 @@ class ServeSchedule:
         first tie at 3:3 (or from the start, for deuce-type games).
     """
 
-    prefix: tuple[PointSource, ...]
-    deuce_cycle: tuple[PointSource, ...]
+    __slots__ = _fields = ("prefix", "deuce_cycle")
 
-    def __post_init__(self):
-        if len(self.prefix) not in (0, 6):
+    def __init__(
+        self, prefix: tuple[PointSource, ...], deuce_cycle: tuple[PointSource, ...]
+    ):
+        _set(self, "prefix", prefix)
+        _set(self, "deuce_cycle", deuce_cycle)
+        if len(prefix) not in (0, 6):
             raise RangeError(
-                f"prefix must cover points 1..6 or be empty, got length {len(self.prefix)}"
+                f"prefix must cover points 1..6 or be empty, got length {len(prefix)}"
             )
-        if len(self.deuce_cycle) not in (1, 2):
+        if len(deuce_cycle) not in (1, 2):
             raise RangeError(
-                f"deuce cycle length must be 1 or 2, got {len(self.deuce_cycle)}"
+                f"deuce cycle length must be 1 or 2, got {len(deuce_cycle)}"
             )
 
     @property
@@ -202,8 +247,7 @@ def schedule_for(kind: RuleKind, order: int = 1, x: int | None = None) -> ServeS
     raise RangeError(f"unknown rule kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class GameMetrics:
+class GameMetrics(_Record):
     """The four outputs of one game evaluation.
 
     bp_prob / expected_bps are None for schedules where the serve changes
@@ -211,13 +255,20 @@ class GameMetrics:
     at least the indicator.
     """
 
-    win_prob: float
-    expected_points: float
-    bp_prob: float | None = None
-    expected_bps: float | None = None
+    __slots__ = _fields = ("win_prob", "expected_points", "bp_prob", "expected_bps")
 
-    def __post_init__(self):
-        if (self.bp_prob is None) != (self.expected_bps is None):
+    def __init__(
+        self,
+        win_prob: float,
+        expected_points: float,
+        bp_prob: float | None = None,
+        expected_bps: float | None = None,
+    ):
+        _set(self, "win_prob", win_prob)
+        _set(self, "expected_points", expected_points)
+        _set(self, "bp_prob", bp_prob)
+        _set(self, "expected_bps", expected_bps)
+        if (bp_prob is None) != (expected_bps is None):
             raise RangeError("bp_prob and expected_bps must be present together")
 
     @property

@@ -88,6 +88,10 @@ class TestParse:
             rows = parse_text(text)
         assert len(rows) == 2
 
+    def test_utf8_bom_in_open_file(self):
+        text = f"{HEADER}\n9,z,0.6,0.7,0.5,0.8\n"
+        assert parse_text("\ufeff" + text) == parse_text(text)
+
     def test_path_input(self, tmp_path):
         f = tmp_path / "stats.csv"
         f.write_text(f"{HEADER}\n9,z,0.6,0.7,0.5,0.8\n", encoding="utf-8")

@@ -3,16 +3,22 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.dom import minidom
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import servelab
 import servelab.cli
 from servelab import formulas
 from servelab.atp import sample_path
 from servelab.cli import SweepSpec, main
+from servelab.errors import ServelabError
 from servelab.types import RuleKind
 
 HEADER = "rank,name,p_f_in,p_f_won,p_s_won,p_t_won"
@@ -171,6 +177,21 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--game", "T", "--p", "0.5", "--n", "0")
         assert code == 2
 
+    def test_n_is_capped_before_any_draw(self, capsys, monkeypatch):
+        class Reached(ServelabError):
+            pass
+
+        def no_draws(sched, prof, cfg):
+            raise Reached(f"estimate_metrics ran {cfg.n_games} games")
+
+        monkeypatch.setattr(servelab.cli, "estimate_metrics", no_draws)
+        argv = ("simulate", "--game", "T", "--p", "0.5", "--n")
+        code, _, err = run(capsys, *argv, str(10**8))
+        assert (code, err) == (3, "error: estimate_metrics ran 100000000 games\n")
+        code, out, err = run(capsys, *argv, str(10**8 + 1))
+        assert (code, out) == (2, "")
+        assert "must be <= 100000000, got 100000001" in err
+
 
 class TestFit:
     def test_bundled_sample(self, capsys):
@@ -195,6 +216,14 @@ class TestFit:
         f.write_text(HEADER + "\n", encoding="utf-8")
         code, _, err = run(capsys, "fit", str(f))
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [("compare",), ("shape", "--low", "1", "--high", "2")])
+    def test_header_only_file_in_other_commands(self, capsys, tmp_path, argv):
+        f = tmp_path / "empty.csv"
+        f.write_text(HEADER + "\n", encoding="utf-8")
+        code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == "usage error: stats file has no data rows\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit", str(tmp_path / "nope.csv"))
@@ -394,6 +423,14 @@ class TestSweep:
 
 
 class TestTopLevel:
+    def test_import_skips_dataclasses_and_svg(self):
+        code = ("import sys, servelab.cli; "
+                "print(sorted({'dataclasses', 'servelab.svg'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": str(Path(servelab.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
     def test_no_subcommand(self, capsys):
         code, _, err = run(capsys)
         assert code == 2
@@ -485,3 +522,21 @@ class TestArgvFuzz:
         code, _, err = run(capsys, *argv)
         assert code in (0, 2, 3, 4), (argv, code, err)
         assert "Traceback" not in err, argv
+
+
+class TestStatsFileEncoding:
+    """Stats files as spreadsheets export them, read from disk."""
+
+    @pytest.mark.parametrize("comments", [True, False])
+    @pytest.mark.parametrize("argv", [("fit",), ("fit", "--json"), ("compare",),
+                                      ("shape", "--low", "200", "--high", "1")])
+    def test_utf8_bom_is_ignored(self, capsys, tmp_path, argv, comments):
+        text = Path(SAMPLE).read_text(encoding="utf-8")
+        if not comments:  # the byte-order mark then sits right before the header
+            text = "".join(l for l in text.splitlines(True) if not l.startswith("#"))
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        expected = run(capsys, argv[0], str(plain), *argv[1:])
+        assert expected[0] == 0
+        assert run(capsys, argv[0], str(bom), *argv[1:]) == expected

@@ -1,6 +1,12 @@
+import pickle
+
 import pytest
 
+from servelab.atp import FitRow, FitSummary, PlayerStats
+from servelab.cli import SweepSpec
 from servelab.errors import RangeError
+from servelab.shaping import CompareRow, ShapingSolution, ShapingTargets
+from servelab.simulate import MetricEstimate, SimConfig, SimResult
 from servelab.types import (
     GameMetrics,
     PointSource,
@@ -131,3 +137,52 @@ class TestGameMetrics:
         assert GameMetrics(0.5, 4.0, 0.1, 0.2).has_bp
         assert not GameMetrics(0.5, 4.0).has_bp
 
+
+
+_EST = MetricEstimate(0.5, 0.01)
+_STATS = PlayerStats(1, "x", 0.6, 0.7, 0.5, 0.8)
+# (class, required fields, defaulted fields) for every value record, each
+# dict in declaration order
+_RECORDS = [
+    (ServeProfile, {"p_f": 0.6, "p_s": 0.4}, {}),
+    (ServeSchedule, {"prefix": (), "deuce_cycle": (F, S)}, {}),
+    (GameMetrics, {"win_prob": 0.5, "expected_points": 6.75},
+     {"bp_prob": None, "expected_bps": None}),
+    (SimConfig, {"n_games": 10, "seed": 3}, {"max_deuce_cycles": 10**6, "first_game": 0}),
+    (MetricEstimate, {"mean": 0.5, "std_err": None}, {}),
+    (SimResult, {"win_prob": _EST, "expected_points": _EST, "bp_prob": None,
+                 "expected_bps": None, "n_games": 4, "truncated_games": 0}, {}),
+    (PlayerStats, {"rank": 2, "name": "y", "p_f_in": 0.6, "p_f_won": 0.7,
+                   "p_s_won": 0.5, "p_t_won": 0.8}, {}),
+    (FitRow, {"stats": _STATS, "p_emp": 0.66, "predicted": 0.8, "residual": 0.0}, {}),
+    (FitSummary, {"max_abs_residual": 0.1, "mean_residual": -0.01,
+                  "nonpositive_count": 1, "n_rows": 2}, {}),
+    (ShapingTargets, {}, {"p_win_low": 0.60, "p_win_high": 0.75}),
+    (ShapingSolution, {"p_trad": 0.5, "p_exc": 0.6, "x_low": 2.5, "x_high": 3.5,
+                       "x_recommended": 2}, {"warning": None}),
+    (CompareRow, dict(zip(("rank", "p_emp", "p_s_won", "p_t", "p_c", "p_t_br", "p_c_br",
+                           "e_t", "e_c", "e_t_br", "e_c_br"), (1,) + (0.5,) * 10)), {}),
+    (SweepSpec, {"variable": "p", "start": 0.0, "stop": 1.0, "step": 0.5}, {"delta": None}),
+]
+
+
+class TestRecords:
+    """Every value record is immutable, compares and hashes by its fields,
+    takes keywords and defaults, and shows as Name(field=value, ...)."""
+
+    @pytest.mark.parametrize("cls,required,defaults", _RECORDS,
+                             ids=[rec[0].__name__ for rec in _RECORDS])
+    def test_immutable_value(self, cls, required, defaults):
+        fields = {**required, **defaults}
+        rec = cls(**required)
+        assert {name: getattr(rec, name) for name in fields} == fields
+        twin = cls(*fields.values())
+        assert rec == twin and hash(rec) == hash(twin)
+        shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+        assert repr(rec) == f"{cls.__name__}({shown})"
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+        assert pickle.loads(pickle.dumps(rec)) == rec
