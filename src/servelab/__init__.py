@@ -14,79 +14,50 @@ random-walk closure of the tied region.  Five rule variants are covered:
 Three independent evaluation paths keep each other honest: closed-form
 expressions (formulas), exact lattice propagation (engine), and a
 seedable Monte Carlo simulator (simulate) with one pure-Python kernel.
+
+Importing the package loads none of its modules: each public name below
+is imported from its module on first use (PEP 562), so a command pays only
+for the modules it runs.
 """
 
-from .atp import (
-    FitRow,
-    FitSummary,
-    PlayerStats,
-    dbl_fault_correct,
-    fit_report,
-    load_sample,
-    p_emp,
-    parse_stats,
-    sample_path,
-)
-from .engine import TieClosure, deuce_closure, metrics_exact, walk_expected_duration
-from .errors import (
-    ConsistencyError,
-    DegenerateProfile,
-    DeuceCapExceeded,
-    ParseError,
-    RangeError,
-    ServelabError,
-    SingularProfile,
-)
-from .formulas import (
-    e_bp_A,
-    e_bp_C,
-    e_bp_T,
-    e_points_A,
-    e_points_B,
-    e_points_Bj,
-    e_points_C,
-    e_points_T,
-    p_bp_A,
-    p_bp_C,
-    p_bp_T,
-    p_win_A,
-    p_win_B,
-    p_win_Bj,
-    p_win_C,
-    p_win_T,
-    p_win_T_omalley,
-)
-from .shaping import (
-    CompareRow,
-    ShapingSolution,
-    ShapingTargets,
-    compare_table,
-    invert_p_win_T,
-    recommend_cutoff,
-    solve_x,
-)
-from .simulate import (
-    MetricEstimate,
-    SimConfig,
-    SimResult,
-    SplitMix64,
-    estimate_metrics,
-    mc_backend,
-    simulate_game,
-    substream,
-)
-from .types import (
-    GameMetrics,
-    PointSource,
-    RuleKind,
-    ServeProfile,
-    ServeSchedule,
-    rule_a,
-    rule_b,
-    rule_bj,
-    rule_c,
-    rule_t,
-    schedule_for,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it
+_SOURCE = {
+    name: module
+    for module, names in (
+        ("atp", "FitRow FitSummary PlayerStats dbl_fault_correct fit_report "
+                "load_sample p_emp parse_stats sample_path"),
+        ("engine", "TieClosure deuce_closure metrics_exact walk_expected_duration"),
+        ("errors", "ConsistencyError DegenerateProfile DeuceCapExceeded ParseError "
+                   "RangeError ServelabError SingularProfile"),
+        ("formulas", "e_bp_A e_bp_C e_bp_T e_points_A e_points_B e_points_Bj "
+                     "e_points_C e_points_T p_bp_A p_bp_C p_bp_T p_win_A p_win_B "
+                     "p_win_Bj p_win_C p_win_T p_win_T_omalley"),
+        ("shaping", "CompareRow ShapingSolution ShapingTargets compare_table "
+                    "invert_p_win_T recommend_cutoff solve_x"),
+        ("simulate", "MetricEstimate SimConfig SimResult SplitMix64 estimate_metrics "
+                     "mc_backend simulate_game substream"),
+        ("types", "GameMetrics PointSource RuleKind ServeProfile ServeSchedule "
+                  "rule_a rule_b rule_bj rule_c rule_t schedule_for"),
+    )
+    for name in names.split()
+}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name: str):
+    try:
+        module = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

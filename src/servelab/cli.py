@@ -9,16 +9,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 import warnings
 
-from . import formulas
-from .atp import fit_report, parse_stats
-from .engine import metrics_exact
+# Each command imports the modules it runs, so that a process compiles
+# and loads only those; without a bytecode cache that is most of start-up.
 from .errors import ConsistencyError, ServelabError
-from .shaping import ShapingTargets, compare_table, recommend_cutoff
-from .simulate import SimConfig, estimate_metrics, mc_backend
 from .types import RuleKind, ServeProfile, _Record, _set, schedule_for
 
 __all__ = ["main", "entrypoint", "SweepSpec"]
@@ -123,6 +119,19 @@ def _seed(text: str) -> int:
     return v
 
 
+def mc_backend() -> str:
+    """The Monte Carlo kernel that simulate runs (simulate.mc_backend)."""
+    from .simulate import mc_backend
+
+    return mc_backend()
+
+
+def _print_json(doc) -> None:
+    import json
+
+    print(json.dumps(doc, indent=2))
+
+
 def _f6(v) -> str:
     return "" if v is None else f"{v:.6f}"
 
@@ -166,6 +175,9 @@ def _resolve_game(args) -> tuple[RuleKind, ServeProfile, int, int]:
 
 
 def _cmd_eval(args) -> int:
+    from . import formulas
+    from .engine import metrics_exact
+
     kind, prof, x, order = _resolve_game(args)
     sched = schedule_for(kind, order=order, x=x)
     m = metrics_exact(sched, prof)
@@ -188,7 +200,7 @@ def _cmd_eval(args) -> int:
             "metrics": {n: {"closed_form": c, "engine": e} for n, c, e in rows},
             "max_disagreement": worst,
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print("metric,closed_form,engine")
         for name, c, e in rows:
@@ -212,6 +224,8 @@ def _out_stream(path: str):
 
 
 def _cmd_sweep(args) -> int:
+    from .engine import metrics_exact
+
     spec = SweepSpec(args.var, args.start, args.stop, args.step, args.delta)
     games = []
     for name in args.games.split(","):
@@ -257,7 +271,7 @@ def _cmd_sweep(args) -> int:
             for game, name, prof, value in rows:
                 fh.write(f"{game},{name},{_f6(prof.p_f)},{_f6(value)}\n")
     if args.svg:
-        from .svg import polyline_chart  # only sweep draws; spare the others the import
+        from .svg import polyline_chart
 
         chart = polyline_chart(
             sorted(series.items()),
@@ -271,6 +285,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _stats_rows(path: str):
+    from .atp import parse_stats
+
     rows = parse_stats(path)
     if not rows:
         raise _UsageError("stats file has no data rows")
@@ -278,6 +294,8 @@ def _stats_rows(path: str):
 
 
 def _cmd_fit(args) -> int:
+    from .atp import fit_report
+
     rows = _stats_rows(args.csv)
     fit_rows, summary = fit_report(rows)
     if args.json:
@@ -300,7 +318,7 @@ def _cmd_fit(args) -> int:
                 "n_rows": summary.n_rows,
             },
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
         return 0
     print("rank,name,p_emp,predicted,observed,residual")
     for r in fit_rows:
@@ -329,6 +347,8 @@ def _find_player(rows, selector: str):
 
 
 def _cmd_shape(args) -> int:
+    from .shaping import ShapingTargets, recommend_cutoff
+
     rows = _stats_rows(args.csv)
     low = _find_player(rows, args.low)
     high = _find_player(rows, args.high)
@@ -345,7 +365,7 @@ def _cmd_shape(args) -> int:
             "x_recommended": sol.x_recommended,
             "warning": sol.warning,
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
         return 0
     print(f"p_trad,{_f6(sol.p_trad)}")
     print(f"p_exc,{_f6(sol.p_exc)}")
@@ -358,6 +378,8 @@ def _cmd_shape(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .shaping import compare_table
+
     rows = _stats_rows(args.csv)
     table = compare_table(rows, args.x)
     cols = ("p_emp", "p_s_won", "p_t", "p_c", "p_t_br", "p_c_br",
@@ -369,7 +391,7 @@ def _cmd_compare(args) -> int:
                 {"rank": r.rank, **{c: getattr(r, c) for c in cols}} for r in table
             ],
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
         return 0
     print("rank," + ",".join(cols))
     for r in table:
@@ -381,6 +403,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .engine import metrics_exact
+    from .simulate import SimConfig, estimate_metrics
+
     kind, prof, x, order = _resolve_game(args)
     sched = schedule_for(kind, order=order, x=x)
     cfg = SimConfig(
@@ -409,7 +434,7 @@ def _cmd_simulate(args) -> int:
                 for n, mean, se, ev, z in rows
             },
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
         return 0
     print("metric,mc_mean,mc_std_err,engine,z")
     for name, mean, se, engine_v, z in rows:

@@ -89,7 +89,7 @@ class SimConfig(_Record):
         _set(self, "first_game", first_game)
         for name in self._fields:
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if not isinstance(value, int) or value.__class__ is bool:
                 raise RangeError(f"{name} must be an integer, got {value!r}")
         if self.n_games < 1:
             raise RangeError(f"n_games must be >= 1, got {self.n_games}")

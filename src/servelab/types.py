@@ -68,10 +68,15 @@ class _Record:
         return self.__class__, self._values()
 
 
-def _check_unit(name: str, value: float) -> float:
-    if not (0.0 <= value <= 1.0):
+def _check_unit(name: str, value: float) -> None:
+    try:
+        inside = 0.0 <= value <= 1.0
+    except TypeError:  # a str or None does not compare with a float
+        inside = None
+    if inside is None or value.__class__ is bool:
+        raise RangeError(f"{name} must be a number, got {value!r}")
+    if not inside:
         raise RangeError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
 
 
 class PointSource(enum.Enum):
@@ -87,13 +92,6 @@ class PointSource(enum.Enum):
     F_FULL = "F_FULL"
     F_SINGLE = "F_SINGLE"
     S_SERVE = "S_SERVE"
-
-    @property
-    def server(self) -> str:
-        return "S" if self is PointSource.S_SERVE else "F"
-
-    def prob(self, prof: "ServeProfile") -> float:
-        return prof.p_f if self is PointSource.F_FULL else prof.p_s
 
 
 class RuleKind(enum.Enum):

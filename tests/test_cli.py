@@ -184,7 +184,7 @@ class TestSimulate:
         def no_draws(sched, prof, cfg):
             raise Reached(f"estimate_metrics ran {cfg.n_games} games")
 
-        monkeypatch.setattr(servelab.cli, "estimate_metrics", no_draws)
+        monkeypatch.setattr("servelab.simulate.estimate_metrics", no_draws)
         argv = ("simulate", "--game", "T", "--p", "0.5", "--n")
         code, _, err = run(capsys, *argv, str(10**8))
         assert (code, err) == (3, "error: estimate_metrics ran 100000000 games\n")
@@ -424,12 +424,27 @@ class TestSweep:
 
 class TestTopLevel:
     def test_import_skips_dataclasses_and_svg(self):
-        code = ("import sys, servelab.cli; "
-                "print(sorted({'dataclasses', 'servelab.svg'} & set(sys.modules)))")
+        # importing the CLI loads only errors and types; each command then
+        # imports what it runs, so eval loads neither the simulator nor json
+        lazy = ["dataclasses", "json", "csv"] + [
+            f"servelab.{m}" for m in
+            ("atp", "engine", "formulas", "shaping", "simulate", "_mc_fallback", "svg")
+        ]
+        code = "\n".join([
+            "import contextlib, io, sys, servelab.cli",
+            f"lazy = {lazy!r}",
+            "print([m for m in lazy if m in sys.modules])",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    code = servelab.cli.main(['eval', '--game', 'T', '--p', '0.6'])",
+            "print(code, [m for m in lazy if m in sys.modules])",
+        ])
         env = {**os.environ, "PYTHONPATH": str(Path(servelab.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == [
+            "[]", "0 ['servelab.engine', 'servelab.formulas']"
+        ]
 
     def test_no_subcommand(self, capsys):
         code, _, err = run(capsys)

@@ -264,6 +264,10 @@ class TestEstimateMetrics:
             {"n_games": 5, "seed": 1.5},
             {"n_games": 5, "seed": 0, "max_deuce_cycles": 2.5},
             {"n_games": 5, "seed": 0, "first_game": 0.5},
+            {"n_games": True, "seed": 1},
+            {"n_games": 5, "seed": False},
+            {"n_games": 5, "seed": 0, "max_deuce_cycles": True},
+            {"n_games": 5, "seed": 0, "first_game": False},
         ],
     )
     def test_config_validation(self, kwargs):

@@ -26,20 +26,6 @@ G = PointSource.F_SINGLE
 S = PointSource.S_SERVE
 
 
-class TestPointSource:
-    def test_server_assignment(self):
-        assert F.server == "F"
-        assert G.server == "F"
-        assert S.server == "S"
-
-    def test_prob_resolution(self):
-        prof = ServeProfile(0.7, 0.4)
-        assert F.prob(prof) == 0.7
-        # single-serve and receiving both resolve to the weaker chance
-        assert G.prob(prof) == 0.4
-        assert S.prob(prof) == 0.4
-
-
 class TestServeProfile:
     def test_valid(self):
         prof = ServeProfile(0.0, 1.0)
@@ -49,6 +35,15 @@ class TestServeProfile:
     def test_out_of_range(self, pf, ps):
         with pytest.raises(RangeError):
             ServeProfile(pf, ps)
+
+    @pytest.mark.parametrize("pf,ps", [("a", 0.5), (0.5, None), (True, 0.5), (0.5, False)])
+    def test_not_a_number(self, pf, ps):
+        with pytest.raises(RangeError, match="must be a number"):
+            ServeProfile(pf, ps)
+
+    def test_numbers_stored_as_given(self):
+        prof = ServeProfile(1, 0.25)
+        assert (type(prof.p_f), prof.p_f, prof.p_s) == (int, 1, 0.25)
 
     def test_immutable(self):
         prof = ServeProfile(0.6, 0.5)
