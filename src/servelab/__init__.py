@@ -24,6 +24,15 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+
+def mc_backend() -> str:
+    """Which kernel estimate_metrics uses; there is one, 'pure-python'.
+
+    Defined here rather than in simulate, so that asking loads no simulator.
+    """
+    return "pure-python"
+
+
 # public name -> the submodule that defines it
 _SOURCE = {
     name: module
@@ -39,14 +48,14 @@ _SOURCE = {
         ("shaping", "CompareRow ShapingSolution ShapingTargets compare_table "
                     "invert_p_win_T recommend_cutoff solve_x"),
         ("simulate", "MetricEstimate SimConfig SimResult SplitMix64 estimate_metrics "
-                     "mc_backend simulate_game substream"),
+                     "simulate_game substream"),
         ("types", "GameMetrics PointSource RuleKind ServeProfile ServeSchedule "
                   "rule_a rule_b rule_bj rule_c rule_t schedule_for"),
     )
     for name in names.split()
 }
 
-__all__ = list(_SOURCE)
+__all__ = [*_SOURCE, "mc_backend"]
 
 
 def __getattr__(name: str):

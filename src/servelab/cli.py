@@ -14,6 +14,7 @@ import warnings
 
 # Each command imports the modules it runs, so that a process compiles
 # and loads only those; without a bytecode cache that is most of start-up.
+from . import mc_backend
 from .errors import ConsistencyError, ServelabError
 from .types import RuleKind, ServeProfile, _Record, _set, schedule_for
 
@@ -22,7 +23,7 @@ __all__ = ["main", "entrypoint", "SweepSpec"]
 _METRIC_ORDER = ("win_prob", "bp_prob", "expected_points", "expected_bps")
 _CUTOFFS = range(7)  # game C's single-serve cutoff x
 _MAX_SWEEP_POINTS = 100_001  # step 1e-5 over [0, 1]
-_MAX_SIM_GAMES = 10**8  # a few minutes of simulate at ~0.6M games/s
+_MAX_SIM_GAMES = 10**8  # a few minutes of simulate at ~1M games/s on two CPUs
 
 
 class _UsageError(Exception):
@@ -117,13 +118,6 @@ def _seed(text: str) -> int:
     if not (0 <= v < 2**64):
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
     return v
-
-
-def mc_backend() -> str:
-    """The Monte Carlo kernel that simulate runs (simulate.mc_backend)."""
-    from .simulate import mc_backend
-
-    return mc_backend()
 
 
 def _print_json(doc) -> None:

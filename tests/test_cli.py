@@ -149,8 +149,12 @@ class TestSimulate:
         doc = json.loads(out)
         assert doc["backend"] == "pure-python"
         assert doc["n_games"] == 100
-        # the benchmark's start-up probe reaches the backend through the CLI module
-        assert servelab.cli.mc_backend() == servelab.mc_backend()
+        # the benchmark's start-up probe reaches the backend through the CLI
+        # module, its provenance through simulate: one function under three names
+        assert servelab.cli.mc_backend is servelab.mc_backend
+        from servelab import simulate
+
+        assert simulate.mc_backend is servelab.mc_backend
 
     def test_deuce_cap_is_a_data_error(self, capsys):
         code, _, err = run(
@@ -424,8 +428,9 @@ class TestSweep:
 
 class TestTopLevel:
     def test_import_skips_dataclasses_and_svg(self):
-        # importing the CLI loads only errors and types; each command then
-        # imports what it runs, so eval loads neither the simulator nor json
+        # importing the CLI loads only errors and types, and naming the
+        # backend loads nothing more; each command then imports what it
+        # runs, so eval loads neither the simulator nor json
         lazy = ["dataclasses", "json", "csv"] + [
             f"servelab.{m}" for m in
             ("atp", "engine", "formulas", "shaping", "simulate", "_mc_fallback", "svg")
@@ -434,6 +439,7 @@ class TestTopLevel:
             "import contextlib, io, sys, servelab.cli",
             f"lazy = {lazy!r}",
             "print([m for m in lazy if m in sys.modules])",
+            "print(servelab.cli.mc_backend(), [m for m in lazy if m in sys.modules])",
             "with contextlib.redirect_stdout(io.StringIO()):",
             "    code = servelab.cli.main(['eval', '--game', 'T', '--p', '0.6'])",
             "print(code, [m for m in lazy if m in sys.modules])",
@@ -443,7 +449,7 @@ class TestTopLevel:
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines() == [
-            "[]", "0 ['servelab.engine', 'servelab.formulas']"
+            "[]", "pure-python []", "0 ['servelab.engine', 'servelab.formulas']"
         ]
 
     def test_no_subcommand(self, capsys):

@@ -1,7 +1,10 @@
 """Monte Carlo layer: determinism, kernel parity, statistical concordance."""
 
 import importlib
+import os
 import pkgutil
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 import servelab
 from servelab import _mc_fallback as fallback
+from servelab import simulate
 from servelab.engine import metrics_exact
 from servelab.errors import DeuceCapExceeded, RangeError
 from servelab.simulate import (
@@ -133,6 +137,7 @@ def _kernels():
 
 _SCHEDULES = (rule_a(), rule_bj(1), rule_bj(2), rule_t(), rule_b(1), rule_b(2),
               *(rule_c(x) for x in range(7)))
+_SCHEDULE_IDS = ("A", "Bj1", "Bj2", "T", "B1", "B2", *(f"C{x}" for x in range(7)))
 # half the time an end of [0, 1] or a float next to one
 _EDGE_PROBS = (0.0, 1.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53)
 _prob = st.one_of(st.sampled_from(_EDGE_PROBS), st.floats(min_value=0.0, max_value=1.0))
@@ -277,3 +282,145 @@ class TestEstimateMetrics:
     def test_last_game_index_accepted(self):
         cfg = SimConfig(n_games=1, seed=0, first_game=2**64 - 1)
         assert estimate_metrics(rule_t(), ServeProfile(0.6, 0.6), cfg).n_games == 1
+
+
+_SHARD = 100  # _SHARD_MIN under test: batches from 200 games up are sharded
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(k): k usable CPUs and _SHARD_MIN = _SHARD; returns an empty
+    list that each os.fork call from then on appends to."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    def set_cpus(k):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: k)
+        monkeypatch.setattr(simulate, "_SHARD_MIN", _SHARD)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        forks.clear()
+        return forks
+
+    return set_cpus
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestShardedBatches:
+    """estimate_metrics over forked shards: every sum is the serial one."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("sched", _SCHEDULES, ids=_SCHEDULE_IDS)
+    def test_sums_and_result_match_serial(self, cpus, k, sched):
+        prof = ServeProfile(0.63, 0.48)
+        for n, first in ((2 * _SHARD - 1, 0), (2 * _SHARD, 0), (3 * _SHARD + 1, 12345),
+                         (10 * _SHARD + 7, 2**40)):
+            cfg = SimConfig(n_games=n, seed=2024, first_game=first)
+            args = (sched.prefix_probs(prof), sched.cycle_probs(prof), sched.all_f_served, 10**6)
+            cpus(1)
+            serial = estimate_metrics(sched, prof, cfg)
+            forks = cpus(k)
+            assert simulate._batch_sums(cfg.seed, first, n, args) == fallback.run_batch(
+                cfg.seed, first, n, *args)
+            assert estimate_metrics(sched, prof, cfg) == serial
+            assert len(forks) == 2 * (min(k, n // _SHARD) - 1)  # two calls
+        _no_child_left()
+
+    def test_truncation_matches_serial(self, cpus):
+        sched, prof = rule_bj(1), ServeProfile(1.0, 0.0)
+        cfg = SimConfig(n_games=5 * _SHARD + 3, seed=3, max_deuce_cycles=3)
+        cpus(1)
+        with pytest.raises(DeuceCapExceeded) as serial:
+            estimate_metrics(sched, prof, cfg)
+        forks = cpus(3)
+        with pytest.raises(DeuceCapExceeded) as sharded:
+            estimate_metrics(sched, prof, cfg)
+        assert len(forks) == 2
+        assert str(sharded.value) == str(serial.value)
+        assert str(serial.value).startswith(f"{cfg.n_games} of {cfg.n_games} games")
+
+    @pytest.mark.parametrize("bad", ["raises", "short output"])
+    def test_failed_worker_is_replayed(self, cpus, monkeypatch, bad):
+        sched, prof = rule_c(3), ServeProfile(0.696, 0.55)
+        cfg = SimConfig(n_games=7 * _SHARD + 1, seed=9, first_game=5)
+        cpus(1)
+        serial = estimate_metrics(sched, prof, cfg)
+        parent, real_run = os.getpid(), fallback.run_batch
+
+        def kernel(*args):
+            if os.getpid() == parent:
+                return real_run(*args)
+            if bad == "raises":
+                raise RuntimeError("worker kernel fails")
+            return real_run(*args)[:6]
+
+        monkeypatch.setattr(simulate, "run_batch", kernel)
+        forks = cpus(3)
+        assert estimate_metrics(sched, prof, cfg) == serial
+        assert len(forks) == 2
+        _no_child_left()
+
+    @pytest.mark.parametrize("good_forks", [0, 1])
+    def test_failed_fork_plays_the_rest_here(self, cpus, monkeypatch, good_forks):
+        sched, prof = rule_b(2), ServeProfile(0.7, 0.35)
+        cfg = SimConfig(n_games=9 * _SHARD + 2, seed=6)
+        cpus(1)
+        serial = estimate_metrics(sched, prof, cfg)
+        forks = cpus(3)
+        counted_fork = os.fork
+
+        def fork():
+            if len(forks) == good_forks:
+                raise BlockingIOError("no process to be had")
+            return counted_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert estimate_metrics(sched, prof, cfg) == serial
+        assert len(forks) == good_forks
+        _no_child_left()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_parent_shard_error_kills_workers(self, cpus, monkeypatch, error):
+        parent = os.getpid()
+
+        def kernel(*args):
+            if os.getpid() == parent:
+                raise error("parent shard fails")
+            time.sleep(60)  # a worker that would outlive the call unless killed
+
+        monkeypatch.setattr(simulate, "run_batch", kernel)
+        forks = cpus(3)
+        t0 = time.monotonic()
+        with pytest.raises(error, match="parent shard fails"):
+            estimate_metrics(rule_t(), ServeProfile(0.6, 0.6), SimConfig(10 * _SHARD, seed=1))
+        assert time.monotonic() - t0 < 30
+        assert len(forks) == 2
+        _no_child_left()
+
+    def test_no_fork_while_another_thread_runs(self, cpus, monkeypatch):
+        sched, prof = rule_t(), ServeProfile(0.6, 0.6)
+        cfg = SimConfig(n_games=10 * _SHARD, seed=4)
+        cpus(1)
+        serial = estimate_metrics(sched, prof, cfg)
+        cpus(2)
+
+        def no_fork():
+            pytest.fail("forked while another thread was running")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, args=(60,))
+        other.start()
+        try:
+            assert estimate_metrics(sched, prof, cfg) == serial
+        finally:
+            stop.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
