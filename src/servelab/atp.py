@@ -199,7 +199,4 @@ def sample_path() -> Path:
 
 def load_sample() -> list[PlayerStats]:
     """Parse the bundled sample table."""
-    with resources.files("servelab").joinpath("data/atp_sample.csv").open(
-        "r", encoding="utf-8"
-    ) as fh:
-        return parse_stats(fh)
+    return parse_stats(sample_path())

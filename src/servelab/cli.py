@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Subcommands: eval, sweep, fit, shape, compare, simulate.  Output is CSV
-on stdout by default, JSON with --json.  Exit codes: 0 success, 2 usage
-error, 3 data error, 4 internal consistency failure.
+Subcommands: eval, sweep, fit, shape, compare, simulate.  Each prints
+CSV on stdout, or JSON with --json, except sweep, which writes CSV to
+--out (- for stdout) and optionally an SVG chart.  Exit codes: 0 success,
+2 usage error, 3 data error, 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -120,18 +121,23 @@ def _seed(text: str) -> int:
     return v
 
 
-def _print_json(doc) -> None:
-    import json
-
-    print(json.dumps(doc, indent=2))
+def _fmt(v, spec: str = ".6f") -> str:
+    return "" if v is None else format(v, spec)
 
 
-def _f6(v) -> str:
-    return "" if v is None else f"{v:.6f}"
+def _defined(metrics) -> list:
+    """(name, value) for each metric the game defines, in _METRIC_ORDER."""
+    return [(n, getattr(metrics, n)) for n in _METRIC_ORDER if getattr(metrics, n) is not None]
 
 
-def _f3(v) -> str:
-    return "" if v is None else f"{v:.3f}"
+def _emit(args, doc, lines: list[str]) -> None:
+    """Print a command's result: `doc` as JSON under --json, else its CSV lines."""
+    if args.json:
+        import json
+
+        print(json.dumps(doc, indent=2))
+    else:
+        print("\n".join(lines))
 
 
 def _add_game_flags(p: argparse.ArgumentParser):
@@ -147,8 +153,7 @@ def _add_game_flags(p: argparse.ArgumentParser):
 
 def _resolve_game(args) -> tuple[RuleKind, ServeProfile, int, int]:
     kind = RuleKind(args.game)
-    scalar = kind in (RuleKind.A, RuleKind.T)
-    if scalar:
+    if kind.scalar:
         if args.p is None:
             raise _UsageError(f"--p is required for game {kind.value}")
         if args.pf is not None or args.ps is not None:
@@ -168,44 +173,26 @@ def _resolve_game(args) -> tuple[RuleKind, ServeProfile, int, int]:
     return kind, prof, x, args.order or 1
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> None:
     from . import formulas
     from .engine import metrics_exact
 
     kind, prof, x, order = _resolve_game(args)
-    sched = schedule_for(kind, order=order, x=x)
-    m = metrics_exact(sched, prof)
+    m = metrics_exact(schedule_for(kind, order=order, x=x), prof)
     closed = formulas.closed_metrics(kind, prof, x)
-    rows = []
-    worst = 0.0
-    for name in _METRIC_ORDER:
-        engine_v = getattr(m, name)
-        if engine_v is None:
-            continue
-        closed_v = closed.get(name)
-        if closed_v is not None:
-            worst = max(worst, abs(closed_v - engine_v))
-        rows.append((name, closed_v, engine_v))
-    if args.json:
-        doc = {
-            "game": kind.value,
-            "profile": {"p_f": prof.p_f, "p_s": prof.p_s},
-            "x": x if kind is RuleKind.C else None,
-            "metrics": {n: {"closed_form": c, "engine": e} for n, c, e in rows},
-            "max_disagreement": worst,
-        }
-        _print_json(doc)
-    else:
-        print("metric,closed_form,engine")
-        for name, c, e in rows:
-            print(f"{name},{_f6(c)},{_f6(e)}")
-    if not all(formulas.agrees(c, e) for _, c, e in rows if c is not None):
-        print(
-            f"error: closed form and engine disagree by {worst:.3e}",
-            file=sys.stderr,
-        )
-        return 4
-    return 0
+    worst, agree = formulas.engine_gap(closed, m)
+    rows = [(name, closed.get(name), value) for name, value in _defined(m)]
+    doc = {
+        "game": kind.value,
+        "profile": {"p_f": prof.p_f, "p_s": prof.p_s},
+        "x": x if kind is RuleKind.C else None,
+        "metrics": {n: {"closed_form": c, "engine": e} for n, c, e in rows},
+        "max_disagreement": worst,
+    }
+    _emit(args, doc, ["metric,closed_form,engine",
+                      *(f"{n},{_fmt(c)},{_fmt(e)}" for n, c, e in rows)])
+    if not agree:
+        raise ConsistencyError(f"closed form and engine disagree by {worst:.3e}")
 
 
 @contextlib.contextmanager
@@ -217,7 +204,7 @@ def _out_stream(path: str):
             yield fh
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     from .engine import metrics_exact
 
     spec = SweepSpec(args.var, args.start, args.stop, args.step, args.delta)
@@ -231,7 +218,7 @@ def _cmd_sweep(args) -> int:
         games.append((kind, schedule_for(kind, x=args.x)))
     delta = spec.delta if spec.delta is not None else 0.0
     two_var = spec.variable == "p_F"
-    rows = []
+    lines = ["game,metric,p_f,p_s,value" if two_var else "game,metric,p,value"]
     series: dict[str, list[tuple[float, float]]] = {}
     for v in spec.grid():
         if two_var:
@@ -240,30 +227,20 @@ def _cmd_sweep(args) -> int:
                 raise _UsageError(
                     f"p_S = 1 - p_F + delta = {ps:.6f} leaves [0, 1] at p_F = {v:.6f}"
                 )
-            prof = ServeProfile(v, ps)
+            prof, at = ServeProfile(v, ps), f"{_fmt(v)},{_fmt(ps)}"
         else:
-            prof = ServeProfile(v, v)
+            prof, at = ServeProfile(v, v), _fmt(v)
         for kind, sched in games:
             try:
                 m = metrics_exact(sched, prof)
             except ServelabError as exc:  # singular corner of the grid
                 print(f"warning: skipped {kind.value} at {v:.6f}: {exc}", file=sys.stderr)
                 continue
-            for name in _METRIC_ORDER:
-                value = getattr(m, name)
-                if value is None:
-                    continue
-                rows.append((kind.value, name, prof, value))
+            for name, value in _defined(m):
+                lines.append(f"{kind.value},{name},{at},{_fmt(value)}")
                 series.setdefault(f"{kind.value}:{name}", []).append((v, value))
     with _out_stream(args.out) as fh:
-        if two_var:
-            fh.write("game,metric,p_f,p_s,value\n")
-            for game, name, prof, value in rows:
-                fh.write(f"{game},{name},{_f6(prof.p_f)},{_f6(prof.p_s)},{_f6(value)}\n")
-        else:
-            fh.write("game,metric,p,value\n")
-            for game, name, prof, value in rows:
-                fh.write(f"{game},{name},{_f6(prof.p_f)},{_f6(value)}\n")
+        fh.writelines(f"{line}\n" for line in lines)
     if args.svg:
         from .svg import polyline_chart
 
@@ -275,7 +252,6 @@ def _cmd_sweep(args) -> int:
         )
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(chart)
-    return 0
 
 
 def _stats_rows(path: str):
@@ -287,44 +263,30 @@ def _stats_rows(path: str):
     return rows
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> None:
     from .atp import fit_report
 
-    rows = _stats_rows(args.csv)
-    fit_rows, summary = fit_report(rows)
-    if args.json:
-        doc = {
-            "rows": [
-                {
-                    "rank": r.stats.rank,
-                    "name": r.stats.name,
-                    "p_emp": r.p_emp,
-                    "predicted": r.predicted,
-                    "observed": r.stats.p_t_won,
-                    "residual": r.residual,
-                }
-                for r in fit_rows
-            ],
-            "summary": {
-                "max_abs_residual": summary.max_abs_residual,
-                "mean_residual": summary.mean_residual,
-                "nonpositive_count": summary.nonpositive_count,
-                "n_rows": summary.n_rows,
-            },
+    fit_rows, summary = fit_report(_stats_rows(args.csv))
+    rows = [
+        {
+            "rank": r.stats.rank,
+            "name": r.stats.name,
+            "p_emp": r.p_emp,
+            "predicted": r.predicted,
+            "observed": r.stats.p_t_won,
+            "residual": r.residual,
         }
-        _print_json(doc)
-        return 0
-    print("rank,name,p_emp,predicted,observed,residual")
-    for r in fit_rows:
-        print(
-            f"{r.stats.rank},{r.stats.name},{_f6(r.p_emp)},{_f6(r.predicted)},"
-            f"{_f6(r.stats.p_t_won)},{r.residual:+.6f}"
-        )
-    print(f"# rows {summary.n_rows}")
-    print(f"# max_abs_residual {summary.max_abs_residual:.6f}")
-    print(f"# mean_residual {summary.mean_residual:+.6f}")
-    print(f"# nonpositive_residuals {summary.nonpositive_count} of {summary.n_rows}")
-    return 0
+        for r in fit_rows
+    ]
+    _emit(args, {"rows": rows, "summary": summary._asdict()}, [
+        ",".join(rows[0]),
+        *(f"{r['rank']},{r['name']},{_fmt(r['p_emp'])},{_fmt(r['predicted'])},"
+          f"{_fmt(r['observed'])},{r['residual']:+.6f}" for r in rows),
+        f"# rows {summary.n_rows}",
+        f"# max_abs_residual {summary.max_abs_residual:.6f}",
+        f"# mean_residual {summary.mean_residual:+.6f}",
+        f"# nonpositive_residuals {summary.nonpositive_count} of {summary.n_rows}",
+    ])
 
 
 def _find_player(rows, selector: str):
@@ -340,63 +302,38 @@ def _find_player(rows, selector: str):
     raise ServelabError(f"no player matching {selector!r} in the stats file")
 
 
-def _cmd_shape(args) -> int:
+def _cmd_shape(args) -> None:
     from .shaping import ShapingTargets, recommend_cutoff
 
     rows = _stats_rows(args.csv)
     low = _find_player(rows, args.low)
     high = _find_player(rows, args.high)
-    targets = ShapingTargets(args.p_low, args.p_high)
-    sol = recommend_cutoff(low, high, targets)
-    if args.json:
-        doc = {
-            "low": low.name,
-            "high": high.name,
-            "p_trad": sol.p_trad,
-            "p_exc": sol.p_exc,
-            "x_low": sol.x_low,
-            "x_high": sol.x_high,
-            "x_recommended": sol.x_recommended,
-            "warning": sol.warning,
-        }
-        _print_json(doc)
-        return 0
-    print(f"p_trad,{_f6(sol.p_trad)}")
-    print(f"p_exc,{_f6(sol.p_exc)}")
-    print(f"x_low,{sol.x_low:.2f}")
-    print(f"x_high,{sol.x_high:.2f}")
-    print(f"x_recommended,{sol.x_recommended}")
+    sol = recommend_cutoff(low, high, ShapingTargets(args.p_low, args.p_high))
+    lines = [
+        f"p_trad,{_fmt(sol.p_trad)}",
+        f"p_exc,{_fmt(sol.p_exc)}",
+        f"x_low,{sol.x_low:.2f}",
+        f"x_high,{sol.x_high:.2f}",
+        f"x_recommended,{sol.x_recommended}",
+    ]
     if sol.warning:
-        print(f"# warning: {sol.warning}")
-    return 0
+        lines.append(f"# warning: {sol.warning}")
+    _emit(args, {"low": low.name, "high": high.name, **sol._asdict()}, lines)
 
 
-def _cmd_compare(args) -> int:
-    from .shaping import compare_table
+def _cmd_compare(args) -> None:
+    from .shaping import CompareRow, compare_table
 
-    rows = _stats_rows(args.csv)
-    table = compare_table(rows, args.x)
-    cols = ("p_emp", "p_s_won", "p_t", "p_c", "p_t_br", "p_c_br",
-            "e_t", "e_c", "e_t_br", "e_c_br")
-    if args.json:
-        doc = {
-            "x": args.x,
-            "rows": [
-                {"rank": r.rank, **{c: getattr(r, c) for c in cols}} for r in table
-            ],
-        }
-        _print_json(doc)
-        return 0
-    print("rank," + ",".join(cols))
-    for r in table:
-        print(f"{r.rank}," + ",".join(_f6(getattr(r, c)) for c in cols))
-    print("# 3-decimal view")
-    for r in table:
-        print(f"# {r.rank}," + ",".join(_f3(getattr(r, c)) for c in cols))
-    return 0
+    table = compare_table(_stats_rows(args.csv), args.x)
+    _emit(args, {"x": args.x, "rows": [r._asdict() for r in table]}, [
+        ",".join(CompareRow._fields),
+        *(f"{r.rank}," + ",".join(_fmt(v) for v in r[1:]) for r in table),
+        "# 3-decimal view",
+        *(f"# {r.rank}," + ",".join(_fmt(v, ".3f") for v in r[1:]) for r in table),
+    ])
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     from .engine import metrics_exact
     from .simulate import SimConfig, estimate_metrics
 
@@ -408,33 +345,24 @@ def _cmd_simulate(args) -> int:
     m = metrics_exact(sched, prof)  # a singular profile fails here, before any draw
     res = estimate_metrics(sched, prof, cfg)
     rows = []
-    for name in _METRIC_ORDER:
-        est = getattr(res, name)
-        if est is None:
-            continue
+    for name, est in _defined(res):
         engine_v = getattr(m, name)
-        z = None
-        if est.std_err:
-            z = (est.mean - engine_v) / est.std_err
+        z = (est.mean - engine_v) / est.std_err if est.std_err else None
         rows.append((name, est.mean, est.std_err, engine_v, z))
-    if args.json:
-        doc = {
-            "game": kind.value,
-            "backend": mc_backend(),
-            "n_games": res.n_games,
-            "seed": args.seed,
-            "metrics": {
-                n: {"mc_mean": mean, "mc_std_err": se, "engine": ev, "z": z}
-                for n, mean, se, ev, z in rows
-            },
-        }
-        _print_json(doc)
-        return 0
-    print("metric,mc_mean,mc_std_err,engine,z")
-    for name, mean, se, engine_v, z in rows:
-        z_text = "" if z is None else f"{z:+.3f}"
-        print(f"{name},{_f6(mean)},{_f6(se)},{_f6(engine_v)},{z_text}")
-    return 0
+    doc = {
+        "game": kind.value,
+        "backend": mc_backend(),
+        "n_games": res.n_games,
+        "seed": args.seed,
+        "metrics": {
+            n: {"mc_mean": mean, "mc_std_err": se, "engine": ev, "z": z}
+            for n, mean, se, ev, z in rows
+        },
+    }
+    _emit(args, doc, ["metric,mc_mean,mc_std_err,engine,z", *(
+        f"{n},{_fmt(mean)},{_fmt(se)},{_fmt(ev)},{_fmt(z, '+.3f')}"
+        for n, mean, se, ev, z in rows
+    )])
 
 
 def build_parser() -> _Parser:
@@ -443,7 +371,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="closed-form and engine metrics for one game")
     _add_game_flags(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="metric curves over a probability grid")
@@ -462,7 +389,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="model residuals for a stats table")
     p.add_argument("csv")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("shape", help="solve the single-serve cutoff")
@@ -471,13 +397,11 @@ def build_parser() -> _Parser:
     p.add_argument("--high", required=True, help="stronger player: rank or exact name")
     p.add_argument("--p-low", type=_prob, default=0.60, dest="p_low")
     p.add_argument("--p-high", type=_prob, default=0.75, dest="p_high")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_shape)
 
     p = sub.add_parser("compare", help="existing-vs-proposed table for a stats file")
     p.add_argument("csv")
     p.add_argument("--x", type=int, choices=_CUTOFFS, default=3)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("simulate", help="Monte Carlo check against the engine")
@@ -487,9 +411,11 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-deuce-cycles", type=_posint, default=10**6,
                    dest="max_deuce_cycles")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_simulate)
 
+    for name, p in sub.choices.items():
+        if name != "sweep":  # sweep writes CSV to --out, never JSON
+            p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -499,30 +425,26 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand; the exit code says how it ended (0, 2, 3 or 4)."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if getattr(args, "func", None) is None:
+            raise _UsageError("a subcommand is required (see --help)")
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            args.func(args)
+    except SystemExit as exc:  # --help
+        return 0 if exc.code in (0, None) else int(exc.code)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:  # --help
-        return 0 if exc.code in (0, None) else int(exc.code)
-    if getattr(args, "func", None) is None:
-        print("usage error: a subcommand is required (see --help)", file=sys.stderr)
-        return 2
-    with warnings.catch_warnings():
-        warnings.showwarning = _print_warning
-        try:
-            return args.func(args)
-        except _UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 2
-        except ConsistencyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
-        except (ServelabError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+    except ConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except (ServelabError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def entrypoint() -> None:

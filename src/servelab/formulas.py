@@ -24,6 +24,7 @@ __all__ = [
     "CLOSED_FORMS",
     "agrees",
     "closed_metrics",
+    "engine_gap",
     "p_win_A",
     "p_bp_A",
     "e_points_A",
@@ -258,7 +259,7 @@ def closed_metrics(kind: RuleKind, prof: ServeProfile, x: int = 3) -> dict[str, 
     """
     if kind is RuleKind.C and x != 3:
         return {}
-    arg = prof.p_f if kind in (RuleKind.A, RuleKind.T) else prof
+    arg = prof.p_f if kind.scalar else prof
     return {field: fn(arg) for field, fn in CLOSED_FORMS[kind]}
 
 
@@ -267,3 +268,15 @@ def agrees(closed: float, engine: float) -> bool:
     for values up to 1000, a relative 1e-12 beyond (huge expected lengths
     near a singular profile differ in the last place)."""
     return math.isclose(closed, engine, rel_tol=1e-12, abs_tol=1e-9)
+
+
+def engine_gap(closed: dict[str, float], metrics) -> tuple[float, bool]:
+    """Compare closed forms with the engine's GameMetrics, field by field.
+
+    Returns the worst |closed - engine| over the fields `closed` names
+    (0.0 when it names none) and whether every one of them `agrees`.
+    """
+    worst = 0.0
+    for field, value in closed.items():
+        worst = max(worst, abs(value - getattr(metrics, field)))
+    return worst, all(agrees(v, getattr(metrics, f)) for f, v in closed.items())

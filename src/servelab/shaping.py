@@ -153,9 +153,8 @@ def compare_table(rows: list[PlayerStats], x: int = 3) -> list[CompareRow]:
         blended = p_emp(stats)
         prof = ServeProfile(p_f=blended, p_s=stats.p_s_won)
         mc = metrics_exact(sched, prof)
-        closed = formulas.closed_metrics(RuleKind.C, prof, x)
-        if not all(formulas.agrees(v, getattr(mc, f)) for f, v in closed.items()):
-            worst = max(abs(v - getattr(mc, f)) for f, v in closed.items())
+        worst, agree = formulas.engine_gap(formulas.closed_metrics(RuleKind.C, prof, x), mc)
+        if not agree:
             raise ConsistencyError(
                 f"closed C forms diverged from the engine by {worst:.3e} "
                 f"for rank {stats.rank}"

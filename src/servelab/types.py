@@ -110,6 +110,12 @@ class RuleKind(enum.Enum):
     B = "B"
     C = "C"
 
+    @property
+    def scalar(self) -> bool:
+        """True for A and T: F serves every point with both attempts, so
+        one point chance p (= p_F) is the whole profile."""
+        return self is RuleKind.A or self is RuleKind.T
+
 
 class ServeProfile(_Record):
     """The pair (p_F, p_S).

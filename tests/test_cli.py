@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -97,9 +99,11 @@ class TestEval:
 
     def test_divergence_exits_4(self, capsys, monkeypatch):
         monkeypatch.setitem(formulas.CLOSED_FORMS, RuleKind.T, (("win_prob", lambda _: 0.0),))
-        code, _, err = run(capsys, "eval", "--game", "T", "--p", "0.6")
+        code, out, err = run(capsys, "eval", "--game", "T", "--p", "0.6")
         assert code == 4
         assert "disagree" in err
+        # the table is still printed, so the disagreeing row can be read
+        assert out.splitlines()[:2] == ["metric,closed_form,engine", "win_prob,0.000000,0.735729"]
 
     def test_last_place_gap_on_a_huge_length_agrees(self, capsys):
         # expected points ~1.67e10, where closed form and engine differ by
@@ -348,9 +352,10 @@ class TestCompare:
 
     def test_divergence_exits_4(self, capsys, monkeypatch):
         monkeypatch.setitem(formulas.CLOSED_FORMS, RuleKind.C, (("win_prob", lambda _: 0.0),))
-        code, _, err = run(capsys, "compare", SAMPLE)
+        code, out, err = run(capsys, "compare", SAMPLE)
         assert code == 4
         assert "diverged" in err
+        assert out == ""
 
 
 class TestSweep:
@@ -424,6 +429,97 @@ class TestSweep:
 
     def test_finest_allowed_grid(self):
         assert len(SweepSpec("p", 0.0, 1.0, 1e-5).grid()) == 100_001
+
+
+def _cell(v, spec=".6f"):
+    return "" if v is None else format(v, spec)
+
+
+def _eval_csv(doc):
+    return ["metric,closed_form,engine", *(
+        f"{n},{_cell(m['closed_form'])},{_cell(m['engine'])}" for n, m in doc["metrics"].items()
+    )]
+
+
+def _simulate_csv(doc):
+    return ["metric,mc_mean,mc_std_err,engine,z", *(
+        f"{n},{_cell(m['mc_mean'])},{_cell(m['mc_std_err'])},{_cell(m['engine'])},"
+        f"{_cell(m['z'], '+.3f')}" for n, m in doc["metrics"].items()
+    )]
+
+
+def _fit_csv(doc):
+    s = doc["summary"]
+    return [",".join(doc["rows"][0]), *(
+        f"{r['rank']},{r['name']},{_cell(r['p_emp'])},{_cell(r['predicted'])},"
+        f"{_cell(r['observed'])},{r['residual']:+.6f}" for r in doc["rows"]
+    ), f"# rows {s['n_rows']}", f"# max_abs_residual {s['max_abs_residual']:.6f}",
+        f"# mean_residual {s['mean_residual']:+.6f}",
+        f"# nonpositive_residuals {s['nonpositive_count']} of {s['n_rows']}"]
+
+
+def _shape_csv(doc):
+    lines = [f"p_trad,{doc['p_trad']:.6f}", f"p_exc,{doc['p_exc']:.6f}",
+             f"x_low,{doc['x_low']:.2f}", f"x_high,{doc['x_high']:.2f}",
+             f"x_recommended,{doc['x_recommended']}"]
+    return lines + ([f"# warning: {doc['warning']}"] if doc["warning"] is not None else [])
+
+
+def _compare_csv(doc):
+    cols = list(doc["rows"][0])
+    assert cols[0] == "rank"
+
+    def line(r, spec):
+        return ",".join([str(r["rank"]), *(_cell(r[c], spec) for c in cols[1:])])
+
+    return [",".join(cols), *(line(r, ".6f") for r in doc["rows"]), "# 3-decimal view",
+            *(f"# {line(r, '.3f')}" for r in doc["rows"])]
+
+
+class TestCsvMatchesJson:
+    """CSV and --json report the same rows: each CSV line is the JSON
+    document's values under that column's format."""
+
+    @pytest.mark.parametrize(
+        "argv, render",
+        [
+            (("eval", "--game", "C", "--pf", "0.696", "--ps", "0.55"), _eval_csv),
+            (("eval", "--game", "C", "--pf", "0.7", "--ps", "0.5", "--x", "5"), _eval_csv),
+            (("eval", "--game", "Bj", "--pf", "0.7", "--ps", "0.6", "--order", "2"), _eval_csv),
+            (("eval", "--game", "T", "--p", "0.62"), _eval_csv),
+            (("simulate", "--game", "T", "--p", "0.62", "--n", "2000", "--seed", "7"),
+             _simulate_csv),
+            (("simulate", "--game", "B", "--pf", "0.65", "--ps", "0.6", "--n", "500"),
+             _simulate_csv),
+            (("simulate", "--game", "C", "--pf", "0.7", "--ps", "0.5", "--n", "1"),
+             _simulate_csv),
+            (("fit", SAMPLE), _fit_csv),
+            (("shape", SAMPLE, "--low", "200", "--high", "1"), _shape_csv),
+            (("shape", SAMPLE, "--low", "200", "--high", "7"), _shape_csv),
+            (("compare", SAMPLE), _compare_csv),
+            (("compare", SAMPLE, "--x", "5"), _compare_csv),
+        ],
+    )
+    def test_same_rows(self, capsys, argv, render):
+        code, out, err = run(capsys, *argv)
+        json_code, json_out, json_err = run(capsys, *argv, "--json")
+        assert (code, err) == (json_code, json_err) == (0, "")
+        assert out.splitlines() == render(json.loads(json_out))
+
+
+def _readme_examples():
+    """(argv text, expected stdout) for each `$ servelab ...` block in README.md."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^\$ servelab ([^\n]+)\n(.*?)^```", text, re.M | re.S)
+
+
+class TestReadme:
+    def test_examples_print_what_readme_shows(self, capsys, monkeypatch):
+        monkeypatch.chdir(Path(__file__).parents[1])  # the examples name repo paths
+        examples = _readme_examples()
+        assert [cmd.split()[0] for cmd, _ in examples] == ["eval", "shape", "simulate"]
+        for cmd, expected in examples:
+            assert run(capsys, *shlex.split(cmd)) == (0, expected, ""), cmd
 
 
 class TestTopLevel:

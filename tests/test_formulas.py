@@ -194,12 +194,29 @@ class TestClosedMetrics:
         m = engine.metrics_exact(schedule_for(kind, x=x), prof)
         if kind is RuleKind.C and x != 3:
             assert closed == {}
+            assert fm.engine_gap(closed, m) == (0.0, True)
             return
         fields = ("win_prob", "expected_points", "bp_prob", "expected_bps")
         present = {f for f in fields if getattr(m, f) is not None}
         assert set(closed) == present
         for name, value in closed.items():
             assert value == pytest.approx(getattr(m, name), abs=1e-9)
+        gaps = [abs(value - getattr(m, name)) for name, value in closed.items()]
+        assert fm.engine_gap(closed, m) == (max(gaps), True)
+
+    def test_engine_gap_reports_the_worst_field(self):
+        prof = ServeProfile(0.62, 0.45)
+        m = engine.metrics_exact(schedule_for(RuleKind.T), prof)
+        closed = {**fm.closed_metrics(RuleKind.T, prof), "bp_prob": m.bp_prob + 0.25,
+                  "expected_points": m.expected_points - 2e-9}
+        worst, agree = fm.engine_gap(closed, m)
+        assert worst == pytest.approx(0.25)
+        assert not agree
+        # a gap beyond 1e-9 on a value past 1000 agrees under the relative rule
+        prof = ServeProfile(0.9999999999085221, 2.845773617600403e-11)
+        closed = fm.closed_metrics(RuleKind.B, prof)
+        worst, agree = fm.engine_gap(closed, engine.metrics_exact(schedule_for(RuleKind.B), prof))
+        assert worst > 1e-9 and agree
 
 
 # the tied-region corners (0, 1), (1, 0) and the floats next to them

@@ -115,6 +115,13 @@ class TestServeSchedule:
         assert schedule_for(RuleKind.C, x=5) == rule_c(5)
         assert schedule_for(RuleKind.C) == rule_c(3)
 
+    def test_scalar_games_resolve_every_point_at_p_f(self):
+        prof = ServeProfile(0.8, 0.3)
+        for kind in RuleKind:
+            sched = schedule_for(kind)
+            probs = sched.prefix_probs(prof) + sched.cycle_probs(prof)
+            assert kind.scalar == (set(probs) == {0.8}), kind
+
     def test_prob_views(self):
         prof = ServeProfile(0.8, 0.3)
         assert rule_c(2).prefix_probs(prof) == (0.8, 0.8, 0.3, 0.3, 0.3, 0.3)
