@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import warnings
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -194,7 +193,7 @@ def fit_report(rows: list[PlayerStats]) -> tuple[list[FitRow], FitSummary]:
 
 def sample_path() -> Path:
     """Filesystem path of the bundled sample table."""
-    return Path(str(resources.files("servelab").joinpath("data/atp_sample.csv")))
+    return Path(__file__).parent / "data" / "atp_sample.csv"
 
 
 def load_sample() -> list[PlayerStats]:

@@ -9,7 +9,6 @@ CSV on stdout, or JSON with --json, except sweep, which writes CSV to
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 import warnings
 
@@ -17,9 +16,9 @@ import warnings
 # and loads only those; without a bytecode cache that is most of start-up.
 from . import mc_backend
 from .errors import ConsistencyError, ServelabError
-from .types import RuleKind, ServeProfile, _Record, _set, schedule_for
+from .types import RuleKind, ServeProfile, schedule_for
 
-__all__ = ["main", "entrypoint", "SweepSpec"]
+__all__ = ["main", "entrypoint"]
 
 _METRIC_ORDER = ("win_prob", "bp_prob", "expected_points", "expected_bps")
 _CUTOFFS = range(7)  # game C's single-serve cutoff x
@@ -34,54 +33,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 2
         raise _UsageError(message)
-
-
-class SweepSpec(_Record):
-    """Grid request for sweep: which variable runs, over what range.
-
-    With variable "p" both profile entries equal the grid value; with
-    variable "p_F" the grid value is p_F and p_S = 1 - p_F + delta.
-    """
-
-    __slots__ = _fields = ("variable", "start", "stop", "step", "delta")
-
-    def __init__(
-        self,
-        variable: str,
-        start: float,
-        stop: float,
-        step: float,
-        delta: float | None = None,
-    ):
-        _set(self, "variable", variable)
-        _set(self, "start", start)
-        _set(self, "stop", stop)
-        _set(self, "step", step)
-        _set(self, "delta", delta)
-        if self.variable not in ("p", "p_F"):
-            raise _UsageError(f"variable must be p or p_F, got {self.variable!r}")
-        if self.delta is not None and self.variable != "p_F":
-            raise _UsageError("--delta only applies to --var p_F")
-        if not self.start < self.stop:
-            raise _UsageError(f"start must be < stop, got {self.start} >= {self.stop}")
-        if not (0.0 < self.step <= self.stop - self.start + 1e-9):
-            raise _UsageError(
-                f"step must lie in (0, stop - start], got {self.step}"
-            )
-        if not self._steps() < _MAX_SWEEP_POINTS:
-            raise _UsageError(
-                f"step {self.step} gives more than {_MAX_SWEEP_POINTS} grid points"
-            )
-        if self.delta is not None and not (0.0 <= self.delta <= 0.5):
-            raise _UsageError(f"delta must lie in [0, 0.5], got {self.delta}")
-
-    def _steps(self) -> float:
-        return (self.stop - self.start) / self.step + 1e-9
-
-    def grid(self) -> list[float]:
-        n = int(self._steps())
-        vals = [self.start + i * self.step for i in range(n + 1)]
-        return [min(v, self.stop) for v in vals]
 
 
 def _prob(text: str) -> float:
@@ -195,32 +146,45 @@ def _cmd_eval(args) -> None:
         raise ConsistencyError(f"closed form and engine disagree by {worst:.3e}")
 
 
-@contextlib.contextmanager
-def _out_stream(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+def _sweep_grid(args) -> list[float]:
+    """The values sweep's variable runs over, after checking the grid flags.
+
+    With --var p both profile entries equal the grid value; with --var p_F
+    the grid value is p_F and p_S = 1 - p_F + delta.
+    """
+    start, stop, step, delta = args.start, args.stop, args.step, args.delta
+    if delta is not None and args.var != "p_F":
+        raise _UsageError("--delta only applies to --var p_F")
+    if not start < stop:
+        raise _UsageError(f"start must be < stop, got {start} >= {stop}")
+    if not (0.0 < step <= stop - start + 1e-9):
+        raise _UsageError(f"step must lie in (0, stop - start], got {step}")
+    steps = (stop - start) / step + 1e-9
+    if not steps < _MAX_SWEEP_POINTS:
+        raise _UsageError(f"step {step} gives more than {_MAX_SWEEP_POINTS} grid points")
+    if delta is not None and not (0.0 <= delta <= 0.5):
+        raise _UsageError(f"delta must lie in [0, 0.5], got {delta}")
+    return [min(start + i * step, stop) for i in range(int(steps) + 1)]
 
 
 def _cmd_sweep(args) -> None:
     from .engine import metrics_exact
 
-    spec = SweepSpec(args.var, args.start, args.stop, args.step, args.delta)
+    grid = _sweep_grid(args)
     games = []
     for name in args.games.split(","):
         name = name.strip()
         try:
             kind = RuleKind(name)
         except ValueError:
-            raise _UsageError(f"unknown game {name!r} (choose from A,Bj,T,B,C)")
+            choices = ",".join(k.value for k in RuleKind)
+            raise _UsageError(f"unknown game {name!r} (choose from {choices})")
         games.append((kind, schedule_for(kind, x=args.x)))
-    delta = spec.delta if spec.delta is not None else 0.0
-    two_var = spec.variable == "p_F"
+    delta = args.delta or 0.0
+    two_var = args.var == "p_F"
     lines = ["game,metric,p_f,p_s,value" if two_var else "game,metric,p,value"]
     series: dict[str, list[tuple[float, float]]] = {}
-    for v in spec.grid():
+    for v in grid:
         if two_var:
             ps = 1.0 - v + delta
             if not (0.0 <= ps <= 1.0):
@@ -239,15 +203,19 @@ def _cmd_sweep(args) -> None:
             for name, value in _defined(m):
                 lines.append(f"{kind.value},{name},{at},{_fmt(value)}")
                 series.setdefault(f"{kind.value}:{name}", []).append((v, value))
-    with _out_stream(args.out) as fh:
-        fh.writelines(f"{line}\n" for line in lines)
+    rows = (f"{line}\n" for line in lines)
+    if args.out == "-":
+        sys.stdout.writelines(rows)
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(rows)
     if args.svg:
         from .svg import polyline_chart
 
         chart = polyline_chart(
             sorted(series.items()),
             title="metric sweep",
-            x_label=spec.variable,
+            x_label=args.var,
             y_label="value",
         )
         with open(args.svg, "w", encoding="utf-8") as fh:

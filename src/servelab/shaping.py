@@ -159,18 +159,19 @@ def compare_table(rows: list[PlayerStats], x: int = 3) -> list[CompareRow]:
                 f"closed C forms diverged from the engine by {worst:.3e} "
                 f"for rank {stats.rank}"
             )
+        t = formulas.closed_metrics(RuleKind.T, prof)
         out.append(
             CompareRow(
                 rank=stats.rank,
                 p_emp=blended,
                 p_s_won=stats.p_s_won,
-                p_t=formulas.p_win_T(blended),
+                p_t=t["win_prob"],
                 p_c=mc.win_prob,
-                p_t_br=formulas.p_bp_T(blended),
+                p_t_br=t["bp_prob"],
                 p_c_br=mc.bp_prob,
-                e_t=formulas.e_points_T(blended),
+                e_t=t["expected_points"],
                 e_c=mc.expected_points,
-                e_t_br=formulas.e_bp_T(blended),
+                e_t_br=t["expected_bps"],
                 e_c_br=mc.expected_bps,
             )
         )

@@ -50,7 +50,7 @@ from math import sqrt
 from typing import NamedTuple
 
 from . import mc_backend
-from ._mc_fallback import GAMMA, INV53, MASK, mix64, play_game, run_batch
+from ._mc_fallback import GAMMA, MASK, mix64, play_game, run_batch
 from .errors import DeuceCapExceeded, RangeError
 from .types import ServeProfile, ServeSchedule, _Record, _set
 
@@ -80,11 +80,6 @@ class SplitMix64:
     def __init__(self, base: int):
         self.base = base & MASK
         self.k = 0
-
-    def next_double(self) -> float:
-        u = mix64((self.base + self.k * GAMMA) & MASK)
-        self.k += 1
-        return (u >> 11) * INV53
 
 
 def substream(seed: int, game_index: int) -> SplitMix64:

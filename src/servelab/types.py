@@ -133,10 +133,6 @@ class ServeProfile(_Record):
         _check_unit("p_f", p_f)
         _check_unit("p_s", p_s)
 
-    def swapped(self) -> "ServeProfile":
-        """Complement both entries; relabels which player is favoured."""
-        return ServeProfile(1.0 - self.p_f, 1.0 - self.p_s)
-
 
 class ServeSchedule(_Record):
     """Per-point probability-source pattern for one game.
@@ -164,10 +160,6 @@ class ServeSchedule(_Record):
             raise RangeError(
                 f"deuce cycle length must be 1 or 2, got {len(deuce_cycle)}"
             )
-
-    @property
-    def deuce_only(self) -> bool:
-        return not self.prefix
 
     @property
     def all_f_served(self) -> bool:
@@ -274,8 +266,3 @@ class GameMetrics(_Record):
         _set(self, "expected_bps", expected_bps)
         if (bp_prob is None) != (expected_bps is None):
             raise RangeError("bp_prob and expected_bps must be present together")
-
-    @property
-    def has_bp(self) -> bool:
-        return self.bp_prob is not None
-

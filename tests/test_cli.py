@@ -19,7 +19,7 @@ import servelab
 import servelab.cli
 from servelab import formulas
 from servelab.atp import sample_path
-from servelab.cli import SweepSpec, main
+from servelab.cli import main
 from servelab.errors import ServelabError
 from servelab.types import RuleKind
 
@@ -427,8 +427,11 @@ class TestSweep:
         code, _, _ = run(capsys, *argv)
         assert code == 2
 
-    def test_finest_allowed_grid(self):
-        assert len(SweepSpec("p", 0.0, 1.0, 1e-5).grid()) == 100_001
+    def test_finest_allowed_grid(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--games", "A", "--start", "0", "--stop", "1",
+                           "--step", "1e-5", "--out", "-")
+        assert code == 0
+        assert len({line.split(",")[2] for line in out.splitlines()[1:]}) == 100_001
 
 
 def _cell(v, spec=".6f"):

@@ -130,7 +130,7 @@ def brute_metrics(sched, prof):
     all_f = sched.all_f_served
     t_win, t_len, t_first, t_count = brute_tie(a, b, with_bp=all_f)
     tie = acc["tie_clean"] + acc["tie_seen"]
-    base = 0.0 if sched.deuce_only else 6.0
+    base = 0.0 if not sched.prefix else 6.0
     win = acc["win"] + tie * t_win
     points = acc["len"] + tie * (base + t_len)
     bp = bps = None
@@ -196,7 +196,7 @@ class TestMetricsExact:
         bj = metrics_exact(rule_bj(), prof)
         assert bj.win_prob == pytest.approx(fm.p_win_Bj(prof), abs=1e-15)
         assert bj.expected_points == pytest.approx(fm.e_points_Bj(prof), abs=1e-15)
-        assert not bj.has_bp
+        assert bj.bp_prob is None
 
     @pytest.mark.parametrize(
         "sched,prof",
@@ -218,7 +218,7 @@ class TestMetricsExact:
         assert m.win_prob == pytest.approx(win, abs=1e-12)
         assert m.expected_points == pytest.approx(points, abs=1e-12)
         if bp is None:
-            assert not m.has_bp
+            assert m.bp_prob is None
         else:
             assert m.bp_prob == pytest.approx(bp, abs=1e-12)
             assert m.expected_bps == pytest.approx(bps, abs=1e-12)

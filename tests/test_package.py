@@ -1,7 +1,9 @@
 """The package's top-level names, which resolve lazily on first use."""
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,12 @@ def test_name_is_its_module_attribute(name):
     value = getattr(servelab, name)
     assert value is getattr(sys.modules[value.__module__], name)
     assert vars(servelab)[name] is value  # cached after the first lookup
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(servelab.__path__)))
+def test_submodule_all_names_are_defined(module):
+    mod = importlib.import_module(f"servelab.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if name not in vars(mod)] == []
 
 
 def test_fresh_import_loads_no_module_and_lists_names():

@@ -17,7 +17,6 @@ from servelab.engine import metrics_exact
 from servelab.errors import DeuceCapExceeded, RangeError
 from servelab.simulate import (
     SimConfig,
-    SplitMix64,
     estimate_metrics,
     simulate_game,
     substream,
@@ -48,24 +47,20 @@ class TestGenerator:
         assert fallback.mix64(0) == 0
 
     def test_draws_lie_in_unit_interval(self):
-        rng = substream(987654321, 5)
-        for _ in range(1000):
-            u = rng.next_double()
-            assert 0.0 <= u < 1.0
+        base = substream(987654321, 5).base
+        draws = [fallback.mix64((base + k * fallback.GAMMA) & fallback.MASK)
+                 for k in range(1000)]
+        for m in draws + [0, fallback.MASK]:  # and the extreme finalizer outputs
+            assert 0.0 <= (m >> 11) * fallback.INV53 < 1.0
 
     def test_stream_keying(self):
         seed, i = 42, 7
         base = fallback.mix64((seed + (i + 1) * fallback.GAMMA) & fallback.MASK)
-        manual = SplitMix64(base)
-        auto = substream(seed, i)
-        assert [auto.next_double() for _ in range(8)] == [
-            manual.next_double() for _ in range(8)
-        ]
+        assert substream(seed, i).base == base
+        assert substream(seed, i).k == 0
 
     def test_distinct_games_get_distinct_streams(self):
-        a = substream(0, 0).next_double()
-        b = substream(0, 1).next_double()
-        assert a != b
+        assert substream(0, 0).base != substream(0, 1).base
 
 
 class TestSimulateGame:
@@ -290,7 +285,10 @@ _SHARD = 100  # _SHARD_MIN under test: batches from 200 games up are sharded
 @pytest.fixture
 def cpus(monkeypatch):
     """cpus(k): k usable CPUs and _SHARD_MIN = _SHARD; returns an empty
-    list that each os.fork call from then on appends to."""
+    list that each os.fork call from then on appends to.  On teardown, the
+    process holds the same file descriptors as before the test (where
+    /dev/fd lists them)."""
+    fds = set(os.listdir("/dev/fd")) if os.path.isdir("/dev/fd") else None
     forks = []
     real_fork = os.fork
 
@@ -305,7 +303,9 @@ def cpus(monkeypatch):
         forks.clear()
         return forks
 
-    return set_cpus
+    yield set_cpus
+    if fds is not None:
+        assert set(os.listdir("/dev/fd")) == fds, "a pipe outlived the batch"
 
 
 def _no_child_left():

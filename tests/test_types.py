@@ -3,7 +3,6 @@ import pickle
 import pytest
 
 from servelab.atp import FitRow, FitSummary, PlayerStats
-from servelab.cli import SweepSpec
 from servelab.errors import RangeError
 from servelab.shaping import CompareRow, ShapingSolution, ShapingTargets
 from servelab.simulate import MetricEstimate, SimConfig, SimResult
@@ -50,11 +49,6 @@ class TestServeProfile:
         with pytest.raises(Exception):
             prof.p_f = 0.9
 
-    def test_swapped(self):
-        prof = ServeProfile(0.7, 0.4).swapped()
-        assert prof.p_f == pytest.approx(0.3)
-        assert prof.p_s == pytest.approx(0.6)
-
 
 class TestServeSchedule:
     def test_prefix_length_enforced(self):
@@ -69,7 +63,7 @@ class TestServeSchedule:
 
     def test_rule_a(self):
         sched = rule_a()
-        assert sched.deuce_only
+        assert not sched.prefix
         assert sched.deuce_cycle == (F,)
         assert sched.all_f_served
 
@@ -85,7 +79,6 @@ class TestServeSchedule:
         assert sched.prefix == (F,) * 6
         assert sched.deuce_cycle == (F,)
         assert sched.all_f_served
-        assert not sched.deuce_only
 
     def test_rule_b_orders(self):
         assert rule_b(1).prefix == (F, S, F, S, F, S)
@@ -135,10 +128,6 @@ class TestGameMetrics:
         with pytest.raises(RangeError):
             GameMetrics(win_prob=0.5, expected_points=4.0, bp_prob=None, expected_bps=0.1)
 
-    def test_has_bp(self):
-        assert GameMetrics(0.5, 4.0, 0.1, 0.2).has_bp
-        assert not GameMetrics(0.5, 4.0).has_bp
-
 
 
 _EST = MetricEstimate(0.5, 0.01)
@@ -164,7 +153,6 @@ _RECORDS = [
                        "x_recommended": 2}, {"warning": None}),
     (CompareRow, dict(zip(("rank", "p_emp", "p_s_won", "p_t", "p_c", "p_t_br", "p_c_br",
                            "e_t", "e_c", "e_t_br", "e_c_br"), (1,) + (0.5,) * 10)), {}),
-    (SweepSpec, {"variable": "p", "start": 0.0, "stop": 1.0, "step": 0.5}, {"delta": None}),
 ]
 
 
