@@ -2,13 +2,16 @@
 
 Subcommands: eval, sweep, fit, shape, compare, simulate.  Each prints
 CSV on stdout, or JSON with --json, except sweep, which writes CSV to
---out (- for stdout) and optionally an SVG chart.  Exit codes: 0 success,
-2 usage error, 3 data error, 4 internal consistency failure.
+--out (- for stdout) and optionally an SVG chart.  Exit codes: 0 success
+(also when stdout's reader stops reading early), 2 usage error, 3 data
+error, 4 internal consistency failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 import warnings
 
@@ -28,6 +31,10 @@ _MAX_SIM_GAMES = 10**8  # a few minutes of simulate at ~1M games/s on two CPUs
 
 class _UsageError(Exception):
     pass
+
+
+class _StdoutClosed(Exception):
+    """stdout's reader went away (`servelab ... | head`)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,14 +88,56 @@ def _defined(metrics) -> list:
     return [(n, getattr(metrics, n)) for n in _METRIC_ORDER if getattr(metrics, n) is not None]
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout and flush it, so a closed pipe shows here."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise _StdoutClosed from None
+
+
 def _emit(args, doc, lines: list[str]) -> None:
     """Print a command's result: `doc` as JSON under --json, else its CSV lines."""
     if args.json:
         import json
 
-        print(json.dumps(doc, indent=2))
+        _write_stdout(json.dumps(doc, indent=2) + "\n")
     else:
-        print("\n".join(lines))
+        _write_stdout("\n".join(lines) + "\n")
+
+
+def _write_files(files: list[tuple[str, str | None, str]]) -> None:
+    """Write each (path, newline, text) file, or none of them.
+
+    Every file is opened before any is written, to append, which truncates
+    nothing.  If one fails to open, those opened are closed, and those
+    this call created removed, before the error goes on.  Then each file's
+    contents are replaced by its text; a pipe or device, which cannot be
+    truncated, just takes the text.
+    """
+    handles, created = [], []
+    try:
+        for path, newline, _ in files:
+            existed = os.path.lexists(path)
+            handles.append(open(path, "a", encoding="utf-8", newline=newline))
+            if not existed:
+                created.append(path)
+    except OSError:
+        for fh in handles:
+            fh.close()
+        for path in created:
+            os.remove(path)
+        raise
+    try:
+        for fh, (_, _, text) in zip(handles, files):
+            with fh:  # closed at once, so a later file at the same path replaces it
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
+                fh.write(text)
+    finally:
+        for fh in handles:
+            fh.close()
 
 
 def _add_game_flags(p: argparse.ArgumentParser):
@@ -203,12 +252,7 @@ def _cmd_sweep(args) -> None:
             for name, value in _defined(m):
                 lines.append(f"{kind.value},{name},{at},{_fmt(value)}")
                 series.setdefault(f"{kind.value}:{name}", []).append((v, value))
-    rows = (f"{line}\n" for line in lines)
-    if args.out == "-":
-        sys.stdout.writelines(rows)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(rows)
+    chart = None
     if args.svg:
         from .svg import polyline_chart
 
@@ -218,8 +262,13 @@ def _cmd_sweep(args) -> None:
             x_label=args.var,
             y_label="value",
         )
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(chart)
+    text = "".join(f"{line}\n" for line in lines)
+    files = [] if args.out == "-" else [(args.out, "", text)]
+    if chart is not None:
+        files.append((args.svg, None, chart))
+    _write_files(files)
+    if args.out == "-":
+        _write_stdout(text)
 
 
 def _stats_rows(path: str):
@@ -406,6 +455,13 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except _StdoutClosed:
+        # the reader ended the read on purpose; point stdout at the null
+        # device so that the interpreter's last flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -6,8 +6,10 @@ arbitrary ServeSchedule.  Every six-point prefix has the same lattice
 states, so the lattice is written out as straight-line arithmetic over
 the six point chances, in a fixed operation order.  All five games
 take the same path: a deuce-type game has an empty prefix, so its whole
-mass starts level and goes straight to the closure.  Also a generalized
-absorbing-barrier random-walk utility.
+mass starts level and goes straight to the closure.  The lattice and the
+closure hand their results on as plain tuples (the lattice's in
+LatticeMasses field order), so metrics_exact builds only the GameMetrics
+it returns.  Also a generalized absorbing-barrier random-walk utility.
 
 The closed forms in formulas.py are validated against this module; on
 any disagreement the engine is authoritative.
@@ -44,6 +46,11 @@ def deuce_closure(cycle: Sequence[float]) -> TieClosure:
     receiver ever reaches advantage, the count is the expected number of
     receiver-advantage points played.
     """
+    return TieClosure(*_closure(cycle))
+
+
+def _closure(cycle: Sequence[float]) -> tuple[float, float, float, float]:
+    """deuce_closure's four values, in TieClosure order, as a plain tuple."""
     if len(cycle) not in (1, 2):
         raise RangeError(f"cycle length must be 1 or 2, got {len(cycle)}")
     a = float(cycle[0])
@@ -62,11 +69,15 @@ def deuce_closure(cycle: Sequence[float]) -> TieClosure:
     # (1 - a) + a * b is 0 only at (a, b) = (1, 0), rejected above
     bp_indicator = (1.0 - a) / ((1.0 - a) + a * b)
     bp_count = (1.0 - a) / denom
-    return TieClosure(win, expected_len, bp_indicator, bp_count)
+    return win, expected_len, bp_indicator, bp_count
 
 
 class LatticeMasses(NamedTuple):
-    """Raw accumulators from one pre-tie propagation (before closure)."""
+    """Raw accumulators from one pre-tie propagation (before closure).
+
+    _lattice returns them as a plain tuple in this field order; this class
+    names that layout.
+    """
 
     win: float
     lose: float
@@ -77,11 +88,13 @@ class LatticeMasses(NamedTuple):
     tie_seen: float  # mass level after the prefix, after at least one break point
 
 
-_LEVEL_START = LatticeMasses(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+_LEVEL_START = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)  # LatticeMasses order
 
 
-def _lattice(sched: ServeSchedule, prof: ServeProfile) -> LatticeMasses:
+def _lattice(sched: ServeSchedule, prof: ServeProfile) -> tuple[float, ...]:
     """Propagate the six-point prefix; mXY is the mass at F X : S Y.
+
+    Returns a plain 7-tuple in LatticeMasses field order.
 
     Written out state by state, since every six-point schedule has the
     same lattice.  At a break point (receiver at 3, F at most 2) the mass
@@ -128,7 +141,7 @@ def _lattice(sched: ServeSchedule, prof: ServeProfile) -> LatticeMasses:
     len_sum = len_sum + 6 * a + 6 * lost + 6 * lost_seen
     bp_visits = bp_visits + m23 + m23_seen
     bp_first += m23
-    return LatticeMasses(win, lose, len_sum, bp_first, bp_visits, m32 - a, c + d)
+    return win, lose, len_sum, bp_first, bp_visits, m32 - a, c + d
 
 
 def metrics_exact(sched: ServeSchedule, prof: ServeProfile) -> GameMetrics:
@@ -140,22 +153,15 @@ def metrics_exact(sched: ServeSchedule, prof: ServeProfile) -> GameMetrics:
     filled only when F serves every point of the schedule; otherwise
     they are None.
     """
-    all_f = sched.all_f_served
-    closure = deuce_closure(sched.cycle_probs(prof))
-    lat = _lattice(sched, prof)
-    tie_total = lat.tie_clean + lat.tie_seen
-    win = lat.win + tie_total * closure.win
-    points = lat.len_sum + tie_total * (len(sched.prefix) + closure.expected_len)
-    bp_prob = expected_bps = None
-    if all_f:
-        bp_prob = lat.bp_first + lat.tie_clean * closure.bp_indicator
-        expected_bps = lat.bp_visits + tie_total * closure.bp_count
-    return GameMetrics(
-        win_prob=win,
-        expected_points=points,
-        bp_prob=bp_prob,
-        expected_bps=expected_bps,
-    )
+    c_win, c_len, c_bp_indicator, c_bp_count = _closure(sched.cycle_probs(prof))
+    win, _, len_sum, bp_first, bp_visits, tie_clean, tie_seen = _lattice(sched, prof)
+    tie_total = tie_clean + tie_seen
+    win = win + tie_total * c_win
+    points = len_sum + tie_total * (len(sched.prefix) + c_len)
+    if sched.all_f_served:
+        return GameMetrics(win, points, bp_first + tie_clean * c_bp_indicator,
+                           bp_visits + tie_total * c_bp_count)
+    return GameMetrics(win, points)
 
 
 def walk_expected_duration(n: int, p: float) -> float:

@@ -1,10 +1,12 @@
 """Domain vocabulary: probabilities, serve profiles, rule kinds, schedules.
 
-All types are immutable values and safe to share between threads.  The
-value classes here and in the other modules derive from _Record: their
-fields live in __slots__, __init__ writes each one once through
-object.__setattr__, and any later assignment or deletion raises
-AttributeError.  Pure result records are typing.NamedTuple instead.
+All types are immutable values and safe to share between threads, and
+the rule_* factories return shared ones: the 13 schedules A, Bj(1, 2),
+T, B(1, 2) and C(0..6) are built once, at import, and a call looks its
+schedule up.  The value classes here and in the other modules derive
+from _Record: their fields live in __slots__, __init__ writes each one
+once through object.__setattr__, and any later assignment or deletion
+raises AttributeError.  Pure result records are typing.NamedTuple instead.
 """
 
 from __future__ import annotations
@@ -143,9 +145,13 @@ class ServeSchedule(_Record):
         tied region.
     deuce_cycle: repeating unit of length 1 or 2 applied at and after the
         first tie at 3:3 (or from the start, for deuce-type games).
+    all_f_served: True when F serves every point, so break points are
+        defined.  Derived from the two fields in __init__, it is not a
+        field itself: ==, hash, repr and pickle read only those two.
     """
 
-    __slots__ = _fields = ("prefix", "deuce_cycle")
+    _fields = ("prefix", "deuce_cycle")
+    __slots__ = (*_fields, "all_f_served")
 
     def __init__(
         self, prefix: tuple[PointSource, ...], deuce_cycle: tuple[PointSource, ...]
@@ -160,11 +166,7 @@ class ServeSchedule(_Record):
             raise RangeError(
                 f"deuce cycle length must be 1 or 2, got {len(deuce_cycle)}"
             )
-
-    @property
-    def all_f_served(self) -> bool:
-        """True when F serves every point, so break points are defined."""
-        return _S not in self.prefix and _S not in self.deuce_cycle
+        _set(self, "all_f_served", _S not in prefix and _S not in deuce_cycle)
 
     def prefix_probs(self, prof: ServeProfile) -> tuple[float, ...]:
         p_f, p_s = prof.p_f, prof.p_s
@@ -180,9 +182,28 @@ _G = PointSource.F_SINGLE
 _S = PointSource.S_SERVE
 
 
+_RULE_A = ServeSchedule(prefix=(), deuce_cycle=(_F,))
+_RULE_BJ = {
+    1: ServeSchedule(prefix=(), deuce_cycle=(_F, _S)),
+    2: ServeSchedule(prefix=(), deuce_cycle=(_S, _F)),
+}
+_RULE_T = ServeSchedule(prefix=(_F,) * 6, deuce_cycle=(_F,))
+_RULE_B = {
+    1: ServeSchedule(prefix=(_F, _S, _F, _S, _F, _S), deuce_cycle=(_F, _S)),
+    2: ServeSchedule(prefix=(_F, _S, _S, _F, _F, _S), deuce_cycle=(_S, _F)),
+}
+_RULE_C = {
+    x: ServeSchedule(prefix=(_F,) * x + (_G,) * (6 - x), deuce_cycle=(_G,))
+    for x in range(7)
+}
+# The factories look their value up by key, so any number equal to a key
+# selects it, as it did when they built the schedule: rule_bj(1.0) is
+# order 1 and rule_c(True) is x = 1.
+
+
 def rule_a() -> ServeSchedule:
     """Deuce-type game, F serving every point."""
-    return ServeSchedule(prefix=(), deuce_cycle=(_F,))
+    return _RULE_A
 
 
 def rule_bj(order: int = 1) -> ServeSchedule:
@@ -193,13 +214,12 @@ def rule_bj(order: int = 1) -> ServeSchedule:
     """
     if order not in (1, 2):
         raise RangeError(f"order must be 1 or 2, got {order!r}")
-    cycle = (_F, _S) if order == 1 else (_S, _F)
-    return ServeSchedule(prefix=(), deuce_cycle=cycle)
+    return _RULE_BJ[order]
 
 
 def rule_t() -> ServeSchedule:
     """The existing tennis game: F serves all points with two attempts."""
-    return ServeSchedule(prefix=(_F,) * 6, deuce_cycle=(_F,))
+    return _RULE_T
 
 
 def rule_b(order: int = 1) -> ServeSchedule:
@@ -212,9 +232,7 @@ def rule_b(order: int = 1) -> ServeSchedule:
     """
     if order not in (1, 2):
         raise RangeError(f"order must be 1 or 2, got {order!r}")
-    if order == 1:
-        return ServeSchedule(prefix=(_F, _S, _F, _S, _F, _S), deuce_cycle=(_F, _S))
-    return ServeSchedule(prefix=(_F, _S, _S, _F, _F, _S), deuce_cycle=(_S, _F))
+    return _RULE_B[order]
 
 
 def rule_c(x: int = 3) -> ServeSchedule:
@@ -225,7 +243,7 @@ def rule_c(x: int = 3) -> ServeSchedule:
     """
     if not isinstance(x, int) or not (0 <= x <= 6):
         raise RangeError(f"x must be an integer in 0..6, got {x!r}")
-    return ServeSchedule(prefix=(_F,) * x + (_G,) * (6 - x), deuce_cycle=(_G,))
+    return _RULE_C[x]
 
 
 def schedule_for(kind: RuleKind, order: int = 1, x: int | None = None) -> ServeSchedule:

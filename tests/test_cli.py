@@ -427,6 +427,53 @@ class TestSweep:
         code, _, _ = run(capsys, *argv)
         assert code == 2
 
+    def test_failed_svg_leaves_no_csv(self, capsys, tmp_path):
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run(
+            capsys, "sweep", "--games", "A,T", "--start", "0.3", "--stop", "0.7",
+            "--step", "0.1", "--out", str(out_csv), "--svg", str(tmp_path / "no" / "x.svg"),
+        )
+        assert (code, out) == (3, "")
+        assert "No such file or directory" in err
+        assert not out_csv.exists()
+
+    def test_failed_svg_keeps_an_existing_csv(self, capsys, tmp_path):
+        out_csv = tmp_path / "o.csv"
+        older = "older run\n" * 100  # longer than the new CSV below
+        out_csv.write_text(older, encoding="utf-8")
+        argv = ("sweep", "--games", "A", "--start", "0.3", "--stop", "0.4", "--step", "0.1")
+        assert run(capsys, *argv, "--out", str(out_csv), "--svg", str(tmp_path))[0] == 3
+        assert out_csv.read_text(encoding="utf-8") == older
+        code, printed, _ = run(capsys, *argv, "--out", "-")
+        assert code == 0 and len(printed) < len(older)
+        assert run(capsys, *argv, "--out", str(out_csv))[0] == 0
+        assert out_csv.read_text(encoding="utf-8") == printed
+
+    def test_failed_svg_prints_no_csv(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "sweep", "--games", "A,T", "--start", "0.3", "--stop", "0.7",
+            "--step", "0.1", "--out", "-", "--svg", str(tmp_path / "no" / "x.svg"),
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+
+    def test_closed_stdout_pipe_ends_quietly(self):
+        # about 2 MB of CSV, far more than a pipe buffers, so the writer
+        # is still writing when the reader goes away after one line
+        env = {**os.environ, "PYTHONPATH": str(Path(servelab.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "servelab.cli", "sweep", "--games", "A,T", "--start", "0",
+             "--stop", "1", "--step", "1e-4", "--out", "-"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == b"game,metric,p,value\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, err) == (0, b"")
+
     def test_finest_allowed_grid(self, capsys):
         code, out, _ = run(capsys, "sweep", "--games", "A", "--start", "0", "--stop", "1",
                            "--step", "1e-5", "--out", "-")
@@ -642,6 +689,52 @@ class TestArgvFuzz:
         code, _, err = run(capsys, *argv)
         assert code in (0, 2, 3, 4), (argv, code, err)
         assert "Traceback" not in err, argv
+
+
+# tokens a damaged or hand-edited stats file may hold
+_STATS_TOKENS = (b"nan", b"NaN", b"inf", b"-inf", b"1e308", b"-0.5", b"\xef\xbb\xbf", b"\x00",
+                 b'"', b'""', b"'", b",", b"\n", b"\r\n", b"\r", b"#", b"\xff", b"\xc3", b" ", b"")
+
+
+def _mutate(rng, data: bytes) -> bytes:
+    """One to four random edits: a token put in or over some bytes, a
+    field replaced by a token, or a few bytes deleted."""
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        at = rng.randrange(len(data) + 1)
+        if kind < 0.3:
+            data[at:at] = rng.choice(_STATS_TOKENS)
+        elif kind < 0.55:
+            data[at:at + rng.randint(1, 8)] = rng.choice(_STATS_TOKENS)
+        elif kind < 0.85:
+            lines = bytes(data).split(b"\n")
+            row = rng.randrange(len(lines))
+            fields = lines[row].split(b",")
+            fields[rng.randrange(len(fields))] = rng.choice(_STATS_TOKENS)
+            lines[row] = b",".join(fields)
+            data = bytearray(b"\n".join(lines))
+        else:
+            del data[at:at + rng.randint(1, 16)]
+    return bytes(data)
+
+
+class TestStatsFileFuzz:
+    """A damaged stats file ends in exit code 0, 2 or 3, never a traceback."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mutated_sample(self, capsys, tmp_path, seed):
+        import random
+
+        rng = random.Random(seed)
+        sample = Path(SAMPLE).read_bytes()
+        path = tmp_path / "stats.csv"
+        for _ in range(80):
+            path.write_bytes(_mutate(rng, sample))
+            for argv in (("fit",), ("compare",), ("shape", "--low", "200", "--high", "1")):
+                code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+                assert code in (0, 2, 3), (path.read_bytes(), argv, code, err)
+                assert "Traceback" not in err, (path.read_bytes(), argv)
 
 
 class TestStatsFileEncoding:

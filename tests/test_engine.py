@@ -1,5 +1,6 @@
 """Engine checks against independent path-enumeration / series oracles."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from servelab import engine, formulas as fm
 from servelab.engine import LatticeMasses, deuce_closure, metrics_exact, walk_expected_duration
 from servelab.errors import RangeError, SingularProfile
 from servelab.types import (
+    GameMetrics,
+    PointSource,
     ServeProfile,
     rule_a,
     rule_b,
@@ -91,6 +94,22 @@ def dict_lattice(probs):
     for (_, _, seen), m in states.items():
         tie[seen] += m
     return LatticeMasses(win, lose, len_sum, bp_first, bp_visits, tie[0], tie[1])
+
+
+def composed_metrics(sched, prof):
+    """metrics_exact composed from dict_lattice and deuce_closure, with the
+    engine's formulas in their order: any change to that order, or to
+    either part, shows as a difference in the last bit."""
+    closure = deuce_closure(sched.cycle_probs(prof))
+    lat = dict_lattice(sched.prefix_probs(prof))
+    tie_total = lat.tie_clean + lat.tie_seen
+    win = lat.win + tie_total * closure.win
+    points = lat.len_sum + tie_total * (len(sched.prefix) + closure.expected_len)
+    bp_prob = expected_bps = None
+    if PointSource.S_SERVE not in sched.prefix + sched.deuce_cycle:
+        bp_prob = lat.bp_first + lat.tie_clean * closure.bp_indicator
+        expected_bps = lat.bp_visits + tie_total * closure.bp_count
+    return GameMetrics(win, points, bp_prob, expected_bps)
 
 
 def brute_metrics(sched, prof):
@@ -251,7 +270,7 @@ class TestMetricsExact:
                       rule_c(0), rule_c(3), rule_c(6)):
             for prof in (ServeProfile(0.7, 0.3), ServeProfile(0.05, 0.95),
                          ServeProfile(0.5, 0.5)):
-                lat = engine._lattice(sched, prof)
+                lat = LatticeMasses(*engine._lattice(sched, prof))
                 total = lat.win + lat.lose + lat.tie_clean + lat.tie_seen
                 assert total == pytest.approx(1.0, abs=1e-14)
 
@@ -263,6 +282,20 @@ class TestMetricsExact:
         want = dict_lattice(sched.prefix_probs(prof))
         for name, a, b in zip(LatticeMasses._fields, got, want):
             assert a == b, name
+
+    @settings(max_examples=400, deadline=None)
+    @given(sched=st.sampled_from(_SCHEDULES), pf=_prob, ps=_prob)
+    def test_bit_identical_to_composed_reference(self, sched, pf, ps):
+        prof = ServeProfile(pf, ps)
+        try:
+            want = composed_metrics(sched, prof)
+        except SingularProfile as exc:
+            with pytest.raises(SingularProfile, match=re.escape(str(exc))):
+                metrics_exact(sched, prof)
+            return
+        got = metrics_exact(sched, prof)
+        for name in GameMetrics._fields:
+            assert getattr(got, name) == getattr(want, name), name
 
     def test_alternation_order_is_irrelevant(self):
         for i in range(1, 10):

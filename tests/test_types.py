@@ -121,6 +121,73 @@ class TestServeSchedule:
         assert rule_b(1).cycle_probs(prof) == (0.8, 0.3)
 
 
+# each factory call with the schedule it stands for, built from literal sources
+_RULES = [
+    (rule_a, (), (), (F,)),
+    (rule_bj, (1,), (), (F, S)),
+    (rule_bj, (2,), (), (S, F)),
+    (rule_t, (), (F, F, F, F, F, F), (F,)),
+    (rule_b, (1,), (F, S, F, S, F, S), (F, S)),
+    (rule_b, (2,), (F, S, S, F, F, S), (S, F)),
+    (rule_c, (0,), (G, G, G, G, G, G), (G,)),
+    (rule_c, (1,), (F, G, G, G, G, G), (G,)),
+    (rule_c, (2,), (F, F, G, G, G, G), (G,)),
+    (rule_c, (3,), (F, F, F, G, G, G), (G,)),
+    (rule_c, (4,), (F, F, F, F, G, G), (G,)),
+    (rule_c, (5,), (F, F, F, F, F, G), (G,)),
+    (rule_c, (6,), (F, F, F, F, F, F), (G,)),
+]
+
+
+class TestSharedRules:
+    """The rule_* factories return schedules built once, at import."""
+
+    @pytest.mark.parametrize("factory,args,prefix,cycle", _RULES,
+                             ids=[f"{r[0].__name__}{r[1]}" for r in _RULES])
+    def test_equals_a_fresh_schedule(self, factory, args, prefix, cycle):
+        fresh = ServeSchedule(prefix=prefix, deuce_cycle=cycle)
+        shared = factory(*args)
+        assert shared == fresh and hash(shared) == hash(fresh)
+        assert repr(shared) == repr(fresh)
+        assert shared.all_f_served == fresh.all_f_served
+        assert factory(*args) is shared
+
+    @pytest.mark.parametrize("sched", [
+        *(factory(*args) for factory, args, _, _ in _RULES),
+        ServeSchedule(prefix=(), deuce_cycle=(G,)),
+        ServeSchedule(prefix=(), deuce_cycle=(S,)),
+        ServeSchedule(prefix=(F, F, F, F, F, S), deuce_cycle=(F,)),
+        ServeSchedule(prefix=(G,) * 6, deuce_cycle=(F, G)),
+        ServeSchedule(prefix=(S,) * 6, deuce_cycle=(G, S)),
+        ServeSchedule(prefix=[F] * 6, deuce_cycle=[F]),
+    ])
+    def test_all_f_served(self, sched):
+        assert sched.all_f_served == (S not in sched.prefix and S not in sched.deuce_cycle)
+
+    def test_all_f_served_is_not_a_field(self):
+        sched = ServeSchedule(prefix=(), deuce_cycle=(F, S))
+        assert repr(sched) == f"ServeSchedule(prefix=(), deuce_cycle=({F!r}, {S!r}))"
+        assert pickle.loads(pickle.dumps(sched)).all_f_served is False
+        with pytest.raises(AttributeError):
+            sched.all_f_served = True
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: rule_bj(3), "order must be 1 or 2, got 3"),
+        (lambda: rule_b(0), "order must be 1 or 2, got 0"),
+        (lambda: rule_c(7), "x must be an integer in 0..6, got 7"),
+        (lambda: rule_c(1.5), "x must be an integer in 0..6, got 1.5"),
+    ])
+    def test_bad_arguments_keep_their_messages(self, call, message):
+        with pytest.raises(RangeError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_equal_numbers_select_the_same_rule(self):
+        assert rule_bj(1.0) is rule_bj(1)
+        assert rule_b(2.0) is rule_b(2)
+        assert rule_c(True) is rule_c(1)
+
+
 class TestGameMetrics:
     def test_bp_fields_come_together(self):
         with pytest.raises(RangeError):
