@@ -37,9 +37,9 @@ def mc_backend() -> str:
 _SOURCE = {
     name: module
     for module, names in (
-        ("atp", "FitRow FitSummary PlayerStats dbl_fault_correct fit_report "
-                "load_sample p_emp parse_stats sample_path"),
-        ("engine", "TieClosure deuce_closure metrics_exact walk_expected_duration"),
+        ("atp", "FitRow FitSummary PlayerStats fit_report load_sample p_emp "
+                "parse_stats sample_path"),
+        ("engine", "deuce_closure metrics_exact walk_expected_duration"),
         ("errors", "ConsistencyError DegenerateProfile DeuceCapExceeded ParseError "
                    "RangeError ServelabError SingularProfile"),
         ("formulas", "e_bp_A e_bp_C e_bp_T e_points_A e_points_B e_points_Bj "

@@ -1,5 +1,5 @@
 """ATP-style service statistics: parsing, the blended point-win
-probability, the double-fault correction, and model-fit residuals."""
+probability, and model-fit residuals."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from typing import NamedTuple
 
 from .errors import ParseError, RangeError
 from .formulas import p_win_T
-from .types import _Record, _set
 
 __all__ = [
     "PlayerStats",
@@ -18,7 +17,6 @@ __all__ = [
     "FitSummary",
     "parse_stats",
     "p_emp",
-    "dbl_fault_correct",
     "fit_report",
     "load_sample",
     "sample_path",
@@ -28,7 +26,7 @@ _HEADER = ("rank", "name", "p_f_in", "p_f_won", "p_s_won", "p_t_won")
 _RATE_FIELDS = ("p_f_in", "p_f_won", "p_s_won", "p_t_won")
 
 
-class PlayerStats(_Record):
+class PlayerStats(NamedTuple):
     """One player row: observed service rates, two-decimal precision at
     the source.
 
@@ -37,23 +35,12 @@ class PlayerStats(_Record):
     won.
     """
 
-    __slots__ = _fields = ("rank", "name", "p_f_in", "p_f_won", "p_s_won", "p_t_won")
-
-    def __init__(
-        self,
-        rank: int,
-        name: str,
-        p_f_in: float,
-        p_f_won: float,
-        p_s_won: float,
-        p_t_won: float,
-    ):
-        _set(self, "rank", rank)
-        _set(self, "name", name)
-        _set(self, "p_f_in", p_f_in)
-        _set(self, "p_f_won", p_f_won)
-        _set(self, "p_s_won", p_s_won)
-        _set(self, "p_t_won", p_t_won)
+    rank: int
+    name: str
+    p_f_in: float
+    p_f_won: float
+    p_s_won: float
+    p_t_won: float
 
 
 class FitRow(NamedTuple):
@@ -145,19 +132,6 @@ def p_emp(stats: PlayerStats) -> float:
     p_f_won; the rest fall to the second serve and are won at p_s_won.
     """
     return stats.p_f_in * stats.p_f_won + (1.0 - stats.p_f_in) * stats.p_s_won
-
-
-def dbl_fault_correct(p_emp_value: float, p_dbl: float) -> float:
-    """Shrink p_emp for double faults logged outside the rate columns.
-
-    p_dbl is the per-point double-fault frequency; plausible values sit
-    well under 0.05, so anything larger is rejected as a unit mistake.
-    """
-    if not (0.0 <= p_dbl <= 0.05):
-        raise RangeError(f"p_dbl must lie in [0, 0.05], got {p_dbl}")
-    if not (0.0 <= p_emp_value <= 1.0):
-        raise RangeError(f"p_emp must lie in [0, 1], got {p_emp_value}")
-    return p_emp_value * (1.0 - p_dbl)
 
 
 def fit_report(rows: list[PlayerStats]) -> tuple[list[FitRow], FitSummary]:

@@ -6,10 +6,10 @@ arbitrary ServeSchedule.  Every six-point prefix has the same lattice
 states, so the lattice is written out as straight-line arithmetic over
 the six point chances, in a fixed operation order.  All five games
 take the same path: a deuce-type game has an empty prefix, so its whole
-mass starts level and goes straight to the closure.  The lattice and the
-closure hand their results on as plain tuples (the lattice's in
-LatticeMasses field order), so metrics_exact builds only the GameMetrics
-it returns.  Also a generalized absorbing-barrier random-walk utility.
+mass starts level and goes straight to the closure.  The lattice and
+deuce_closure return plain tuples (the lattice's in LatticeMasses field
+order), so metrics_exact builds only the GameMetrics it returns.  Also
+a generalized absorbing-barrier random-walk utility.
 
 The closed forms in formulas.py are validated against this module; on
 any disagreement the engine is authoritative.
@@ -22,35 +22,22 @@ from typing import NamedTuple, Sequence
 from .errors import RangeError, SingularProfile
 from .types import GameMetrics, ServeProfile, ServeSchedule
 
-__all__ = ["deuce_closure", "metrics_exact", "walk_expected_duration", "TieClosure"]
+__all__ = ["deuce_closure", "metrics_exact", "walk_expected_duration"]
 
 _MIN_DENOM = 1e-300
 
 
-class TieClosure(NamedTuple):
-    """Analytic resolution of the win-by-two region."""
-
-    win: float
-    expected_len: float
-    bp_indicator: float
-    bp_count: float
-
-
-def deuce_closure(cycle: Sequence[float]) -> TieClosure:
+def deuce_closure(cycle: Sequence[float]) -> tuple[float, float, float, float]:
     """Resolve the tied region for a repeating cycle of 1 or 2 point chances.
 
+    Returns (win, expected_len, bp_indicator, bp_count) as a plain tuple.
     The region starts level; each pass through the cycle either decides
     the game (both points to one side) or returns to level, giving
-    geometric-series closed forms.  The break-point fields mean something
+    geometric-series closed forms.  The break-point values mean something
     only when F serves the whole cycle: the indicator is the chance the
     receiver ever reaches advantage, the count is the expected number of
     receiver-advantage points played.
     """
-    return TieClosure(*_closure(cycle))
-
-
-def _closure(cycle: Sequence[float]) -> tuple[float, float, float, float]:
-    """deuce_closure's four values, in TieClosure order, as a plain tuple."""
     if len(cycle) not in (1, 2):
         raise RangeError(f"cycle length must be 1 or 2, got {len(cycle)}")
     a = float(cycle[0])
@@ -153,7 +140,7 @@ def metrics_exact(sched: ServeSchedule, prof: ServeProfile) -> GameMetrics:
     filled only when F serves every point of the schedule; otherwise
     they are None.
     """
-    c_win, c_len, c_bp_indicator, c_bp_count = _closure(sched.cycle_probs(prof))
+    c_win, c_len, c_bp_indicator, c_bp_count = deuce_closure(sched.cycle_probs(prof))
     win, _, len_sum, bp_first, bp_visits, tie_clean, tie_seen = _lattice(sched, prof)
     tie_total = tie_clean + tie_seen
     win = win + tie_total * c_win

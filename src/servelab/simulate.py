@@ -20,12 +20,10 @@ and its k-th draw (k = 0, 1, ...) is
 One draw is consumed per point, in playing order; F wins the point iff
 u < its source probability.  Because every game owns an independent
 substream, sharding the batch over workers or machines cannot change
-the totals.  The point-by-point game loop is written once, as
-_mc_fallback.play_game, the specification: simulate_game plays one game
-with it on a SplitMix64 stream.  The one Monte Carlo kernel
-(_mc_fallback.run_batch, pure Python) plays a whole batch in lockstep
-instead, one point per step, and compares each draw with an integer
-threshold; its sums are bit-identical to play_game's, game by game.
+the totals.  simulate_game plays one game with _mc_fallback.play_game on
+a SplitMix64 stream, and estimate_metrics plays batches with the one
+Monte Carlo kernel, _mc_fallback.run_batch; that module's docstring
+describes both.
 
 estimate_metrics shards a batch over processes when each of two or more
 usable CPUs would get at least _SHARD_MIN games, the platform has fork

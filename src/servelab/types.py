@@ -3,10 +3,11 @@
 All types are immutable values and safe to share between threads, and
 the rule_* factories return shared ones: the 13 schedules A, Bj(1, 2),
 T, B(1, 2) and C(0..6) are built once, at import, and a call looks its
-schedule up.  The value classes here and in the other modules derive
-from _Record: their fields live in __slots__, __init__ writes each one
-once through object.__setattr__, and any later assignment or deletion
-raises AttributeError.  Pure result records are typing.NamedTuple instead.
+schedule up.  A value whose __init__ checks its fields derives from
+_Record: its fields live in __slots__, __init__ writes each one once
+through object.__setattr__, and any later assignment or deletion raises
+AttributeError.  Every other record, here and in the other modules, is a
+typing.NamedTuple.
 """
 
 from __future__ import annotations
@@ -139,6 +140,9 @@ class ServeProfile(_Record):
 class ServeSchedule(_Record):
     """Per-point probability-source pattern for one game.
 
+    Both fields are stored as tuples of PointSource, whatever sequence of
+    PointSource they were given as.
+
     prefix: sources for points 1..6 (a complete game reaches 3:3 or is
         decided within six points, so six entries always suffice).  An
         empty prefix means a deuce-type game that starts directly in the
@@ -156,6 +160,13 @@ class ServeSchedule(_Record):
     def __init__(
         self, prefix: tuple[PointSource, ...], deuce_cycle: tuple[PointSource, ...]
     ):
+        try:
+            prefix, deuce_cycle = tuple(prefix), tuple(deuce_cycle)
+        except TypeError:  # not iterable
+            raise RangeError(
+                f"prefix and deuce_cycle must be sequences of PointSource, "
+                f"got {prefix!r} and {deuce_cycle!r}"
+            ) from None
         _set(self, "prefix", prefix)
         _set(self, "deuce_cycle", deuce_cycle)
         if len(prefix) not in (0, 6):
@@ -166,6 +177,9 @@ class ServeSchedule(_Record):
             raise RangeError(
                 f"deuce cycle length must be 1 or 2, got {len(deuce_cycle)}"
             )
+        for src in prefix + deuce_cycle:
+            if src.__class__ is not PointSource:
+                raise RangeError(f"schedule entries must be PointSource, got {src!r}")
         _set(self, "all_f_served", _S not in prefix and _S not in deuce_cycle)
 
     def prefix_probs(self, prof: ServeProfile) -> tuple[float, ...]:

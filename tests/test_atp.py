@@ -4,7 +4,6 @@ import pytest
 
 from servelab.atp import (
     PlayerStats,
-    dbl_fault_correct,
     fit_report,
     load_sample,
     p_emp,
@@ -114,24 +113,6 @@ class TestBlend:
     def test_never_in_falls_back_to_second_serve(self):
         s = PlayerStats(7, "x", 0.0, 0.9, 0.41, 0.5)
         assert p_emp(s) == pytest.approx(0.41, abs=1e-15)
-
-
-class TestDoubleFaultCorrection:
-    def test_examples(self):
-        assert dbl_fault_correct(0.63, 0.01) == pytest.approx(0.6237, abs=1e-12)
-        assert dbl_fault_correct(0.63, 0.02) == pytest.approx(0.6174, abs=1e-12)
-
-    def test_zero_rate_is_identity(self):
-        assert dbl_fault_correct(0.71, 0.0) == 0.71
-
-    @pytest.mark.parametrize("p_dbl", [-0.01, 0.0501, 5.0])
-    def test_rate_bounds(self, p_dbl):
-        with pytest.raises(RangeError):
-            dbl_fault_correct(0.6, p_dbl)
-
-    def test_p_emp_bounds(self):
-        with pytest.raises(RangeError):
-            dbl_fault_correct(1.2, 0.01)
 
 
 class TestFitReport:

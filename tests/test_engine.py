@@ -100,15 +100,15 @@ def composed_metrics(sched, prof):
     """metrics_exact composed from dict_lattice and deuce_closure, with the
     engine's formulas in their order: any change to that order, or to
     either part, shows as a difference in the last bit."""
-    closure = deuce_closure(sched.cycle_probs(prof))
+    c_win, c_len, c_bp_indicator, c_bp_count = deuce_closure(sched.cycle_probs(prof))
     lat = dict_lattice(sched.prefix_probs(prof))
     tie_total = lat.tie_clean + lat.tie_seen
-    win = lat.win + tie_total * closure.win
-    points = lat.len_sum + tie_total * (len(sched.prefix) + closure.expected_len)
+    win = lat.win + tie_total * c_win
+    points = lat.len_sum + tie_total * (len(sched.prefix) + c_len)
     bp_prob = expected_bps = None
     if PointSource.S_SERVE not in sched.prefix + sched.deuce_cycle:
-        bp_prob = lat.bp_first + lat.tie_clean * closure.bp_indicator
-        expected_bps = lat.bp_visits + tie_total * closure.bp_count
+        bp_prob = lat.bp_first + lat.tie_clean * c_bp_indicator
+        expected_bps = lat.bp_visits + tie_total * c_bp_count
     return GameMetrics(win, points, bp_prob, expected_bps)
 
 
@@ -161,24 +161,24 @@ def brute_metrics(sched, prof):
 
 class TestDeuceClosure:
     def test_single_cycle_matches_fixed_server_forms(self):
-        c = deuce_closure((0.55,))
-        assert c.win == pytest.approx(fm.p_win_A(0.55), abs=1e-15)
-        assert c.expected_len == pytest.approx(fm.e_points_A(0.55), abs=1e-15)
-        assert c.bp_indicator == pytest.approx(fm.p_bp_A(0.55), abs=1e-15)
-        assert c.bp_count == pytest.approx(fm.e_bp_A(0.55), abs=1e-15)
+        c_win, c_len, c_bp_indicator, c_bp_count = deuce_closure((0.55,))
+        assert c_win == pytest.approx(fm.p_win_A(0.55), abs=1e-15)
+        assert c_len == pytest.approx(fm.e_points_A(0.55), abs=1e-15)
+        assert c_bp_indicator == pytest.approx(fm.p_bp_A(0.55), abs=1e-15)
+        assert c_bp_count == pytest.approx(fm.e_bp_A(0.55), abs=1e-15)
 
     @pytest.mark.parametrize("a,b", [(0.55, 0.55), (0.7, 0.4), (0.31, 0.86)])
     def test_against_series_iteration(self, a, b):
-        c = deuce_closure((a, b))
+        c_win, c_len, c_bp_indicator, c_bp_count = deuce_closure((a, b))
         win, length, first, count = brute_tie(a, b, with_bp=True)
-        assert c.win == pytest.approx(win, abs=1e-12)
-        assert c.expected_len == pytest.approx(length, abs=1e-12)
-        assert c.bp_indicator == pytest.approx(first, abs=1e-12)
-        assert c.bp_count == pytest.approx(count, abs=1e-12)
+        assert c_win == pytest.approx(win, abs=1e-12)
+        assert c_len == pytest.approx(length, abs=1e-12)
+        assert c_bp_indicator == pytest.approx(first, abs=1e-12)
+        assert c_bp_count == pytest.approx(count, abs=1e-12)
 
     def test_order_of_cycle_probs_does_not_change_win(self):
-        assert deuce_closure((0.7, 0.4)).win == pytest.approx(
-            deuce_closure((0.4, 0.7)).win, abs=1e-15
+        assert deuce_closure((0.7, 0.4))[0] == pytest.approx(
+            deuce_closure((0.4, 0.7))[0], abs=1e-15
         )
 
     def test_singular_cycle(self):

@@ -61,6 +61,24 @@ class TestServeSchedule:
         with pytest.raises(RangeError):
             ServeSchedule(prefix=(F,) * 6, deuce_cycle=(F, S, F))
 
+    def test_list_built_schedule_is_its_tuple_twin(self):
+        sched = ServeSchedule(prefix=[F, S, F, S, F, S], deuce_cycle=[F, S])
+        assert sched == rule_b(1) and hash(sched) == hash(rule_b(1))
+        assert sched.prefix.__class__ is tuple and sched.deuce_cycle.__class__ is tuple
+        assert repr(sched) == repr(rule_b(1))
+
+    @pytest.mark.parametrize("prefix,cycle", [
+        (("x",) * 6, (F,)),
+        ((F,) * 6, ("F_FULL",)),
+        ((), (F, 1)),
+        ("FFFFFF", (F,)),
+        (6, (F,)),
+        ((), None),
+    ], ids=["foreign-prefix", "foreign-cycle", "int-entry", "str", "int", "none"])
+    def test_entries_must_be_point_sources(self, prefix, cycle):
+        with pytest.raises(RangeError):
+            ServeSchedule(prefix=prefix, deuce_cycle=cycle)
+
     def test_rule_a(self):
         sched = rule_a()
         assert not sched.prefix
