@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import RangeError, SingularProfile
-from .types import GameMetrics, ServeProfile, ServeSchedule
+from .types import GameMetrics, ServeProfile, ServeSchedule, _is_number
 
 __all__ = ["deuce_closure", "metrics_exact", "walk_expected_duration"]
 
@@ -38,10 +38,16 @@ def deuce_closure(cycle: Sequence[float]) -> tuple[float, float, float, float]:
     receiver ever reaches advantage, the count is the expected number of
     receiver-advantage points played.
     """
+    try:
+        cycle = tuple(cycle)
+    except TypeError:  # not iterable
+        raise RangeError(f"cycle must be a sequence of 1 or 2 numbers, got {cycle!r}") from None
     if len(cycle) not in (1, 2):
         raise RangeError(f"cycle length must be 1 or 2, got {len(cycle)}")
-    a = float(cycle[0])
-    b = float(cycle[1]) if len(cycle) == 2 else a
+    a, b = cycle[0], cycle[-1]
+    if not (_is_number(a) and _is_number(b)):
+        raise RangeError(f"cycle chances must be numbers, got {cycle!r}")
+    a, b = float(a), float(b)
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise RangeError(f"cycle chances must lie in [0, 1], got ({a}, {b})")
     denom = a * b + (1.0 - a) * (1.0 - b)

@@ -3,16 +3,19 @@
 All types are immutable values and safe to share between threads, and
 the rule_* factories return shared ones: the 13 schedules A, Bj(1, 2),
 T, B(1, 2) and C(0..6) are built once, at import, and a call looks its
-schedule up.  A value whose __init__ checks its fields derives from
-_Record: its fields live in __slots__, __init__ writes each one once
-through object.__setattr__, and any later assignment or deletion raises
-AttributeError.  Every other record, here and in the other modules, is a
-typing.NamedTuple.
+schedule up.  One rule sorts the records, here and in the other modules:
+an input, whose __init__ checks the values a caller gives it, derives
+from _Record (ServeProfile, ServeSchedule, simulate.SimConfig and
+shaping.ShapingTargets); an output, such as GameMetrics, is a
+typing.NamedTuple.  A _Record keeps its fields in __slots__, __init__
+writes each one once through object.__setattr__, and any later
+assignment or deletion raises AttributeError.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 from .errors import RangeError
 
@@ -71,14 +74,15 @@ class _Record:
         return self.__class__, self._values()
 
 
+def _is_number(value) -> bool:
+    """The type rule for a chance: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and value.__class__ is not bool
+
+
 def _check_unit(name: str, value: float) -> None:
-    try:
-        inside = 0.0 <= value <= 1.0
-    except TypeError:  # a str or None does not compare with a float
-        inside = None
-    if inside is None or value.__class__ is bool:
+    if not _is_number(value):
         raise RangeError(f"{name} must be a number, got {value!r}")
-    if not inside:
+    if not 0.0 <= value <= 1.0:
         raise RangeError(f"{name} must lie in [0, 1], got {value!r}")
 
 
@@ -275,7 +279,7 @@ def schedule_for(kind: RuleKind, order: int = 1, x: int | None = None) -> ServeS
     raise RangeError(f"unknown rule kind {kind!r}")
 
 
-class GameMetrics(_Record):
+class GameMetrics(NamedTuple):
     """The four outputs of one game evaluation.
 
     bp_prob / expected_bps are None for schedules where the serve changes
@@ -283,18 +287,7 @@ class GameMetrics(_Record):
     at least the indicator.
     """
 
-    __slots__ = _fields = ("win_prob", "expected_points", "bp_prob", "expected_bps")
-
-    def __init__(
-        self,
-        win_prob: float,
-        expected_points: float,
-        bp_prob: float | None = None,
-        expected_bps: float | None = None,
-    ):
-        _set(self, "win_prob", win_prob)
-        _set(self, "expected_points", expected_points)
-        _set(self, "bp_prob", bp_prob)
-        _set(self, "expected_bps", expected_bps)
-        if (bp_prob is None) != (expected_bps is None):
-            raise RangeError("bp_prob and expected_bps must be present together")
+    win_prob: float
+    expected_points: float
+    bp_prob: float | None = None
+    expected_bps: float | None = None

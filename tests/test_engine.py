@@ -195,6 +195,12 @@ class TestDeuceClosure:
         with pytest.raises(RangeError):
             deuce_closure(cycle)
 
+    @pytest.mark.parametrize("cycle", ["ab", None, 5, (None,), ("0.5",), (True,)],
+                             ids=["str", "none", "int", "none-entry", "str-entry", "bool-entry"])
+    def test_not_a_sequence_of_numbers(self, cycle):
+        with pytest.raises(RangeError):
+            deuce_closure(cycle)
+
 
 class TestMetricsExact:
     def test_existing_game_matches_closed_forms(self):

@@ -1,4 +1,6 @@
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +14,7 @@ from servelab.types import (
     RuleKind,
     ServeProfile,
     ServeSchedule,
+    _Record,
     rule_a,
     rule_b,
     rule_bj,
@@ -35,7 +38,11 @@ class TestServeProfile:
         with pytest.raises(RangeError):
             ServeProfile(pf, ps)
 
-    @pytest.mark.parametrize("pf,ps", [("a", 0.5), (0.5, None), (True, 0.5), (0.5, False)])
+    @pytest.mark.parametrize("pf,ps", [
+        ("a", 0.5), (0.5, None), (True, 0.5), (0.5, False),
+        pytest.param(Decimal("0.6"), 0.6, id="Decimal-0.6"),
+        pytest.param(0.6, Fraction(1, 2), id="0.6-Fraction"),
+    ])
     def test_not_a_number(self, pf, ps):
         with pytest.raises(RangeError, match="must be a number"):
             ServeProfile(pf, ps)
@@ -206,13 +213,18 @@ class TestSharedRules:
         assert rule_c(True) is rule_c(1)
 
 
-class TestGameMetrics:
-    def test_bp_fields_come_together(self):
-        with pytest.raises(RangeError):
-            GameMetrics(win_prob=0.5, expected_points=4.0, bp_prob=0.1, expected_bps=None)
-        with pytest.raises(RangeError):
-            GameMetrics(win_prob=0.5, expected_points=4.0, bp_prob=None, expected_bps=0.1)
+class TestRecordRule:
+    """Inputs, whose constructors check what a caller passes, are _Records;
+    outputs are NamedTuples."""
 
+    def test_only_checked_inputs_are_records(self):
+        assert {cls.__name__ for cls in _Record.__subclasses__()} == {
+            "ServeProfile", "ServeSchedule", "SimConfig", "ShapingTargets"}
+
+    def test_game_metrics_is_a_named_tuple(self):
+        m = GameMetrics(0.5, 6.75)
+        win, points, bp, bps = m
+        assert (win, points, bp, bps) == m == (0.5, 6.75, None, None)
 
 
 _EST = MetricEstimate(0.5, 0.01)
