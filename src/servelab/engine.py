@@ -8,8 +8,14 @@ the six point chances, in a fixed operation order.  All five games
 take the same path: a deuce-type game has an empty prefix, so its whole
 mass starts level and goes straight to the closure.  The lattice and
 deuce_closure return plain tuples (the lattice's in LatticeMasses field
-order), so metrics_exact builds only the GameMetrics it returns.  Also
-a generalized absorbing-barrier random-walk utility.
+order), so metrics_exact builds only the GameMetrics it returns.
+
+metrics_exact reads a profile once, as the float pair (p_F, p_S): the
+ServeProfile checked it when it was built, so the pair is not checked
+again.  The schedule's getters, built with the schedule, pick the
+lattice's six chances and the cycle's two ends from that pair, and the
+ends go to _closure, the arithmetic of deuce_closure without its input
+checks.  Also a generalized absorbing-barrier random-walk utility.
 
 The closed forms in formulas.py are validated against this module; on
 any disagreement the engine is authoritative.
@@ -25,6 +31,7 @@ from .types import GameMetrics, ServeProfile, ServeSchedule, _is_number
 __all__ = ["deuce_closure", "metrics_exact", "walk_expected_duration"]
 
 _MIN_DENOM = 1e-300
+_new = tuple.__new__
 
 
 def deuce_closure(cycle: Sequence[float]) -> tuple[float, float, float, float]:
@@ -47,9 +54,14 @@ def deuce_closure(cycle: Sequence[float]) -> tuple[float, float, float, float]:
     a, b = cycle[0], cycle[-1]
     if not (_is_number(a) and _is_number(b)):
         raise RangeError(f"cycle chances must be numbers, got {cycle!r}")
-    a, b = float(a), float(b)
+    # compared before float(), which overflows on a huge int
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise RangeError(f"cycle chances must lie in [0, 1], got ({a}, {b})")
+    return _closure(float(a), float(b))
+
+
+def _closure(a: float, b: float) -> tuple[float, float, float, float]:
+    """deuce_closure for the cycle ends a, b: floats in [0, 1], unchecked."""
     denom = a * b + (1.0 - a) * (1.0 - b)
     if denom < _MIN_DENOM:
         raise SingularProfile(
@@ -84,8 +96,9 @@ class LatticeMasses(NamedTuple):
 _LEVEL_START = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)  # LatticeMasses order
 
 
-def _lattice(sched: ServeSchedule, prof: ServeProfile) -> tuple[float, ...]:
-    """Propagate the six-point prefix; mXY is the mass at F X : S Y.
+def _lattice(sched: ServeSchedule, pick: tuple[float, float]) -> tuple[float, ...]:
+    """Propagate the six-point prefix at pick = (p_f, p_s); mXY is the
+    mass at F X : S Y.
 
     Returns a plain 7-tuple in LatticeMasses field order.
 
@@ -103,7 +116,7 @@ def _lattice(sched: ServeSchedule, prof: ServeProfile) -> tuple[float, ...]:
     if not sched.prefix:
         # a deuce-type game starts level, before any break point
         return _LEVEL_START
-    p0, p1, p2, p3, p4, p5 = sched.prefix_probs(prof)
+    p0, p1, p2, p3, p4, p5 = sched._pick_prefix(pick)
     # points 1-3 decide nothing
     m10, m01 = p0, 1.0 - p0
     a, b = m10 * p1, m01 * p1
@@ -144,17 +157,19 @@ def metrics_exact(sched: ServeSchedule, prof: ServeProfile) -> GameMetrics:
     point by point and whatever stays level after it enters the tied
     region, which the deuce closure resolves.  Break-point fields are
     filled only when F serves every point of the schedule; otherwise
-    they are None.
+    they are None.  Every field is a plain float.
     """
-    c_win, c_len, c_bp_indicator, c_bp_count = deuce_closure(sched.cycle_probs(prof))
-    win, _, len_sum, bp_first, bp_visits, tie_clean, tie_seen = _lattice(sched, prof)
+    pick = (float(prof.p_f), float(prof.p_s))
+    c_win, c_len, c_bp_indicator, c_bp_count = _closure(*sched._pick_ends(pick))
+    win, _, len_sum, bp_first, bp_visits, tie_clean, tie_seen = _lattice(sched, pick)
     tie_total = tie_clean + tie_seen
     win = win + tie_total * c_win
     points = len_sum + tie_total * (len(sched.prefix) + c_len)
+    # tuple.__new__ is what GameMetrics._make calls
     if sched.all_f_served:
-        return GameMetrics(win, points, bp_first + tie_clean * c_bp_indicator,
-                           bp_visits + tie_total * c_bp_count)
-    return GameMetrics(win, points)
+        return _new(GameMetrics, (win, points, bp_first + tie_clean * c_bp_indicator,
+                                  bp_visits + tie_total * c_bp_count))
+    return _new(GameMetrics, (win, points, None, None))
 
 
 def walk_expected_duration(n: int, p: float) -> float:
@@ -163,10 +178,12 @@ def walk_expected_duration(n: int, p: float) -> float:
     Up-step chance p.  Solved exactly over the interior states
     -n+1..n-1 by tridiagonal elimination; the fair-walk answer is n**2.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or n.__class__ is bool or n < 1:
         raise RangeError(f"n must be an integer >= 1, got {n!r}")
     if n > 10_000:
         raise RangeError(f"n capped at 10000, got {n}")
+    if not _is_number(p):
+        raise RangeError(f"p must be a number, got {p!r}")
     if not (0.0 < p < 1.0):
         raise RangeError(f"p must lie in (0, 1), got {p!r}")
     q = 1.0 - p

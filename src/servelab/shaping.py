@@ -15,7 +15,7 @@ from . import formulas
 from .atp import PlayerStats, p_emp
 from .engine import metrics_exact
 from .errors import ConsistencyError, DegenerateProfile, RangeError
-from .types import RuleKind, ServeProfile, _Record, _set, rule_c
+from .types import RuleKind, ServeProfile, _Record, _is_number, _set, rule_c
 
 __all__ = [
     "ShapingTargets",
@@ -36,6 +36,8 @@ class ShapingTargets(_Record):
     def __init__(self, p_win_low: float = 0.60, p_win_high: float = 0.75):
         _set(self, "p_win_low", p_win_low)
         _set(self, "p_win_high", p_win_high)
+        if not (_is_number(p_win_low) and _is_number(p_win_high)):
+            raise RangeError(f"targets must be numbers, got ({p_win_low!r}, {p_win_high!r})")
         if not (0.5 < self.p_win_low < self.p_win_high < 1.0):
             raise RangeError(
                 "targets must satisfy 0.5 < low < high < 1, got "
@@ -58,6 +60,8 @@ def invert_p_win_T(target: float) -> float:
     p_win_T is strictly increasing on (0, 1), so plain bisection on
     [1e-6, 1 - 1e-6] suffices.
     """
+    if not _is_number(target):
+        raise RangeError(f"target must be a number, got {target!r}")
     if not (0.0 < target < 1.0):
         raise RangeError(f"target must lie in (0, 1), got {target}")
     lo, hi = 1e-6, 1.0 - 1e-6

@@ -10,11 +10,18 @@ shaping.ShapingTargets); an output, such as GameMetrics, is a
 typing.NamedTuple.  A _Record keeps its fields in __slots__, __init__
 writes each one once through object.__setattr__, and any later
 assignment or deletion raises AttributeError.
+
+A schedule's source pattern is fixed when it is built, so ServeSchedule
+builds with it the getters that map a profile's (p_F, p_S) pair to point
+chances; a call reads its chances through them and tests no source.
+A ServeProfile is checked once, in its __init__, and the engine reads it
+without a second check.
 """
 
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import RangeError
@@ -156,10 +163,14 @@ class ServeSchedule(_Record):
     all_f_served: True when F serves every point, so break points are
         defined.  Derived from the two fields in __init__, it is not a
         field itself: ==, hash, repr and pickle read only those two.
+
+    Two more derived slots map a (p_f, p_s) pair to point chances:
+    _pick_prefix gives the prefix's chances and _pick_ends the cycle's
+    two ends (cycle[0], cycle[-1]), equal for a one-point cycle.
     """
 
     _fields = ("prefix", "deuce_cycle")
-    __slots__ = (*_fields, "all_f_served")
+    __slots__ = (*_fields, "all_f_served", "_pick_prefix", "_pick_ends")
 
     def __init__(
         self, prefix: tuple[PointSource, ...], deuce_cycle: tuple[PointSource, ...]
@@ -185,14 +196,17 @@ class ServeSchedule(_Record):
             if src.__class__ is not PointSource:
                 raise RangeError(f"schedule entries must be PointSource, got {src!r}")
         _set(self, "all_f_served", _S not in prefix and _S not in deuce_cycle)
+        # a source indexes a (p_f, p_s) pair: 0 for F_FULL, 1 otherwise;
+        # an empty prefix picks the empty slice, as itemgetter() takes no index
+        picks = [0 if src is _F else 1 for src in prefix + deuce_cycle[:1] + deuce_cycle[-1:]]
+        _set(self, "_pick_prefix", itemgetter(*picks[:-2]) if prefix else itemgetter(slice(0)))
+        _set(self, "_pick_ends", itemgetter(*picks[-2:]))
 
     def prefix_probs(self, prof: ServeProfile) -> tuple[float, ...]:
-        p_f, p_s = prof.p_f, prof.p_s
-        return tuple([p_f if src is _F else p_s for src in self.prefix])
+        return self._pick_prefix((prof.p_f, prof.p_s))
 
     def cycle_probs(self, prof: ServeProfile) -> tuple[float, ...]:
-        p_f, p_s = prof.p_f, prof.p_s
-        return tuple([p_f if src is _F else p_s for src in self.deuce_cycle])
+        return self._pick_ends((prof.p_f, prof.p_s))[:len(self.deuce_cycle)]
 
 
 _F = PointSource.F_FULL

@@ -1,5 +1,6 @@
 """Engine checks against independent path-enumeration / series oracles."""
 
+import pickle
 import re
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from servelab.types import (
     GameMetrics,
     PointSource,
     ServeProfile,
+    ServeSchedule,
     rule_a,
     rule_b,
     rule_bj,
@@ -55,6 +57,12 @@ def brute_tie(a, b, with_bp=False, passes=20000):
             level_clean += level_seen
             level_seen = 0.0
     return win, length, bp_first, bp_count
+
+
+def chances(sources, prof):
+    """Point chances for a run of sources: p_F for F_FULL, p_S otherwise.
+    The references below read their chances here, not from the schedule."""
+    return tuple(prof.p_f if src is PointSource.F_FULL else prof.p_s for src in sources)
 
 
 def dict_lattice(probs):
@@ -100,8 +108,8 @@ def composed_metrics(sched, prof):
     """metrics_exact composed from dict_lattice and deuce_closure, with the
     engine's formulas in their order: any change to that order, or to
     either part, shows as a difference in the last bit."""
-    c_win, c_len, c_bp_indicator, c_bp_count = deuce_closure(sched.cycle_probs(prof))
-    lat = dict_lattice(sched.prefix_probs(prof))
+    c_win, c_len, c_bp_indicator, c_bp_count = deuce_closure(chances(sched.deuce_cycle, prof))
+    lat = dict_lattice(chances(sched.prefix, prof))
     tie_total = lat.tie_clean + lat.tie_seen
     win = lat.win + tie_total * c_win
     points = lat.len_sum + tie_total * (len(sched.prefix) + c_len)
@@ -114,7 +122,7 @@ def composed_metrics(sched, prof):
 
 def brute_metrics(sched, prof):
     """Full-game oracle: recursive path enumeration plus brute_tie."""
-    probs = sched.prefix_probs(prof)
+    probs = chances(sched.prefix, prof)
     acc = {"win": 0.0, "lose": 0.0, "len": 0.0, "bp_first": 0.0,
            "bp_visits": 0.0, "tie_clean": 0.0, "tie_seen": 0.0}
 
@@ -143,7 +151,7 @@ def brute_metrics(sched, prof):
         walk(0, 0, 0, False, 1.0)
     else:
         acc["tie_clean"] = 1.0
-    cyc = sched.cycle_probs(prof)
+    cyc = chances(sched.deuce_cycle, prof)
     a = cyc[0]
     b = cyc[1] if len(cyc) == 2 else a
     all_f = sched.all_f_served
@@ -157,6 +165,27 @@ def brute_metrics(sched, prof):
         bp = acc["bp_first"] + acc["tie_clean"] * t_first
         bps = acc["bp_visits"] + tie * t_count
     return win, points, bp, bps
+
+
+_F, _G, _S = PointSource.F_FULL, PointSource.F_SINGLE, PointSource.S_SERVE
+
+
+class TestPointChances:
+    """The schedule's getters give what the per-source mapping gives."""
+
+    @pytest.mark.parametrize("sched", [
+        *_SCHEDULES,
+        ServeSchedule([_G, _F, _S, _G, _G, _F], [_G, _S]),
+        ServeSchedule([], [_G]),
+    ])
+    def test_getters_match_the_mapping(self, sched):
+        for prof in (ServeProfile(0.8, 0.3), ServeProfile(1, 0), ServeProfile(0.0, 1.0)):
+            want = chances(sched.prefix, prof), chances(sched.deuce_cycle, prof)
+            for got in (sched, pickle.loads(pickle.dumps(sched))):
+                prefix, cycle = got.prefix_probs(prof), got.cycle_probs(prof)
+                assert (prefix, cycle) == want  # values and lengths
+                assert prefix.__class__ is tuple and cycle.__class__ is tuple
+                assert all(a is b for a, b in zip(prefix + cycle, want[0] + want[1]))
 
 
 class TestDeuceClosure:
@@ -190,7 +219,8 @@ class TestDeuceClosure:
         with pytest.raises(RangeError):
             deuce_closure(cycle)
 
-    @pytest.mark.parametrize("cycle", [(2.0, 0.5), (1.5,), (-0.5, 0.2), (float("nan"),)])
+    @pytest.mark.parametrize("cycle", [(2.0, 0.5), (1.5,), (-0.5, 0.2), (float("nan"),),
+                                       (10**400,)])
     def test_chance_outside_unit_interval(self, cycle):
         with pytest.raises(RangeError):
             deuce_closure(cycle)
@@ -276,7 +306,7 @@ class TestMetricsExact:
                       rule_c(0), rule_c(3), rule_c(6)):
             for prof in (ServeProfile(0.7, 0.3), ServeProfile(0.05, 0.95),
                          ServeProfile(0.5, 0.5)):
-                lat = LatticeMasses(*engine._lattice(sched, prof))
+                lat = LatticeMasses(*engine._lattice(sched, (prof.p_f, prof.p_s)))
                 total = lat.win + lat.lose + lat.tie_clean + lat.tie_seen
                 assert total == pytest.approx(1.0, abs=1e-14)
 
@@ -284,8 +314,8 @@ class TestMetricsExact:
     @given(sched=st.sampled_from(_SCHEDULES), pf=_prob, ps=_prob)
     def test_lattice_is_bit_identical_to_dict_propagation(self, sched, pf, ps):
         prof = ServeProfile(pf, ps)
-        got = engine._lattice(sched, prof)
-        want = dict_lattice(sched.prefix_probs(prof))
+        got = engine._lattice(sched, (pf, ps))
+        want = dict_lattice(chances(sched.prefix, prof))
         for name, a, b in zip(LatticeMasses._fields, got, want):
             assert a == b, name
 
@@ -339,6 +369,14 @@ class TestMetricsExact:
         with pytest.raises(SingularProfile):
             metrics_exact(rule_b(1), ServeProfile(1.0, 0.0))
 
+    @pytest.mark.parametrize("sched", _SCHEDULES)
+    def test_float_subclass_chances_give_plain_floats(self, sched):
+        np = pytest.importorskip("numpy")
+        m = metrics_exact(sched, ServeProfile(np.float64(0.6), np.float64(0.45)))
+        assert m == metrics_exact(sched, ServeProfile(0.6, 0.45))
+        for name, value in zip(GameMetrics._fields, m):
+            assert value is None or value.__class__ is float, name
+
 
 def walk_oracle(n, p):
     """Exact rational solve of the absorbing-walk expectation system."""
@@ -384,12 +422,12 @@ class TestWalk:
     def test_biased_walk_is_faster(self):
         assert walk_expected_duration(6, 0.8) < walk_expected_duration(6, 0.5)
 
-    @pytest.mark.parametrize("n", [0, -3, 2.5, "4", 10_001])
+    @pytest.mark.parametrize("n", [0, -3, 2.5, "4", 10_001, True])
     def test_bad_n(self, n):
         with pytest.raises(RangeError):
             walk_expected_duration(n, 0.5)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.4])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.4, "0.5", None])
     def test_bad_p(self, p):
         with pytest.raises(RangeError):
             walk_expected_duration(3, p)

@@ -35,7 +35,7 @@ class TestInvert:
     def test_monotone(self):
         assert invert_p_win_T(0.60) < invert_p_win_T(0.75)
 
-    @pytest.mark.parametrize("t", [0.0, 1.0, -0.3, 1.1])
+    @pytest.mark.parametrize("t", [0.0, 1.0, -0.3, 1.1, "0.6", None])
     def test_target_bounds(self, t):
         with pytest.raises(RangeError):
             invert_p_win_T(t)
@@ -87,6 +87,11 @@ class TestRecommendCutoff:
             ShapingTargets(0.45, 0.75)
         with pytest.raises(RangeError):
             ShapingTargets(0.60, 1.0)
+
+    @pytest.mark.parametrize("low,high", [("0.6", 0.7), (0.6, "0.7"), (None, 0.7)])
+    def test_targets_must_be_numbers(self, low, high):
+        with pytest.raises(RangeError, match="must be numbers"):
+            ShapingTargets(low, high)
 
 
 class TestCompareTable:
