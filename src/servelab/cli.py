@@ -19,7 +19,7 @@ import warnings
 # and loads only those; without a bytecode cache that is most of start-up.
 from . import mc_backend
 from .errors import ConsistencyError, ServelabError
-from .types import RuleKind, ServeProfile, schedule_for
+from .types import RuleKind, ServeProfile, ServeSchedule, schedule_for
 
 __all__ = ["main", "entrypoint"]
 
@@ -151,7 +151,7 @@ def _add_game_flags(p: argparse.ArgumentParser):
                    help="serve order variant for Bj/B (default 1)")
 
 
-def _resolve_game(args) -> tuple[RuleKind, ServeProfile, int, int]:
+def _resolve_game(args) -> tuple[RuleKind, ServeProfile, int, ServeSchedule]:
     kind = RuleKind(args.game)
     if kind.scalar:
         if args.p is None:
@@ -170,15 +170,15 @@ def _resolve_game(args) -> tuple[RuleKind, ServeProfile, int, int]:
     if args.order is not None and kind not in (RuleKind.BJ, RuleKind.B):
         raise _UsageError("--order only applies to games Bj and B")
     x = 3 if args.x is None else args.x
-    return kind, prof, x, args.order or 1
+    return kind, prof, x, schedule_for(kind, order=args.order or 1, x=x)
 
 
 def _cmd_eval(args) -> None:
     from . import formulas
     from .engine import metrics_exact
 
-    kind, prof, x, order = _resolve_game(args)
-    m = metrics_exact(schedule_for(kind, order=order, x=x), prof)
+    kind, prof, x, sched = _resolve_game(args)
+    m = metrics_exact(sched, prof)
     closed = formulas.closed_metrics(kind, prof, x)
     worst, agree = formulas.engine_gap(closed, m)
     rows = [(name, closed.get(name), value) for name, value in _defined(m)]
@@ -354,8 +354,7 @@ def _cmd_simulate(args) -> None:
     from .engine import metrics_exact
     from .simulate import SimConfig, estimate_metrics
 
-    kind, prof, x, order = _resolve_game(args)
-    sched = schedule_for(kind, order=order, x=x)
+    kind, prof, _, sched = _resolve_game(args)
     cfg = SimConfig(
         n_games=args.n, seed=args.seed, max_deuce_cycles=args.max_deuce_cycles
     )

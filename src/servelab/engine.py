@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import RangeError, SingularProfile
-from .types import GameMetrics, ServeProfile, ServeSchedule, _is_number
+from .types import GameMetrics, ServeProfile, ServeSchedule, _check_unit, _is_int, _is_number
 
 __all__ = ["deuce_closure", "metrics_exact", "walk_expected_duration"]
 
@@ -48,16 +48,12 @@ def deuce_closure(cycle: Sequence[float]) -> tuple[float, float, float, float]:
     try:
         cycle = tuple(cycle)
     except TypeError:  # not iterable
-        raise RangeError(f"cycle must be a sequence of 1 or 2 numbers, got {cycle!r}") from None
+        raise RangeError("cycle must be a sequence of 1 or 2 numbers", cycle) from None
     if len(cycle) not in (1, 2):
-        raise RangeError(f"cycle length must be 1 or 2, got {len(cycle)}")
-    a, b = cycle[0], cycle[-1]
-    if not (_is_number(a) and _is_number(b)):
-        raise RangeError(f"cycle chances must be numbers, got {cycle!r}")
-    # compared before float(), which overflows on a huge int
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise RangeError(f"cycle chances must lie in [0, 1], got ({a}, {b})")
-    return _closure(float(a), float(b))
+        raise RangeError("cycle length must be 1 or 2", len(cycle))
+    for i, chance in enumerate(cycle):
+        _check_unit(f"cycle[{i}]", chance)
+    return _closure(float(cycle[0]), float(cycle[-1]))
 
 
 def _closure(a: float, b: float) -> tuple[float, float, float, float]:
@@ -178,14 +174,14 @@ def walk_expected_duration(n: int, p: float) -> float:
     Up-step chance p.  Solved exactly over the interior states
     -n+1..n-1 by tridiagonal elimination; the fair-walk answer is n**2.
     """
-    if not isinstance(n, int) or n.__class__ is bool or n < 1:
-        raise RangeError(f"n must be an integer >= 1, got {n!r}")
+    if not _is_int(n) or n < 1:
+        raise RangeError("n must be an integer >= 1", n)
     if n > 10_000:
-        raise RangeError(f"n capped at 10000, got {n}")
+        raise RangeError("n capped at 10000", n)
     if not _is_number(p):
-        raise RangeError(f"p must be a number, got {p!r}")
+        raise RangeError("p must be a number", p)
     if not (0.0 < p < 1.0):
-        raise RangeError(f"p must lie in (0, 1), got {p!r}")
+        raise RangeError("p must lie in (0, 1)", p)
     q = 1.0 - p
     m = 2 * n - 1
     # rows: -q*E[j-1] + E[j] - p*E[j+1] = 1, absorbing ends at zero

@@ -5,8 +5,20 @@ class ServelabError(Exception):
     """Base class for every error raised by this package."""
 
 
+def _shown(value) -> str:
+    """repr(value), or the value's type where repr raises ValueError."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits(), or a tuple holding one
+        return f"<{value.__class__.__name__} too long to print>"
+
+
 class RangeError(ServelabError):
-    """A numeric argument is outside its documented range."""
+    """A numeric argument is outside its documented range.  Given the value it
+    refuses, RangeError(message, value) reads "<message>, got <_shown(value)>"."""
+
+    def __init__(self, message, *value):
+        super().__init__(f"{message}, got {_shown(*value)}" if value else message)
 
 
 class SingularProfile(ServelabError):

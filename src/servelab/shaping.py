@@ -37,12 +37,9 @@ class ShapingTargets(_Record):
         _set(self, "p_win_low", p_win_low)
         _set(self, "p_win_high", p_win_high)
         if not (_is_number(p_win_low) and _is_number(p_win_high)):
-            raise RangeError(f"targets must be numbers, got ({p_win_low!r}, {p_win_high!r})")
-        if not (0.5 < self.p_win_low < self.p_win_high < 1.0):
-            raise RangeError(
-                "targets must satisfy 0.5 < low < high < 1, got "
-                f"({self.p_win_low}, {self.p_win_high})"
-            )
+            raise RangeError("targets must be numbers", (p_win_low, p_win_high))
+        if not (0.5 < p_win_low < p_win_high < 1.0):
+            raise RangeError("targets must satisfy 0.5 < low < high < 1", (p_win_low, p_win_high))
 
 
 class ShapingSolution(NamedTuple):
@@ -61,9 +58,9 @@ def invert_p_win_T(target: float) -> float:
     [1e-6, 1 - 1e-6] suffices.
     """
     if not _is_number(target):
-        raise RangeError(f"target must be a number, got {target!r}")
+        raise RangeError("target must be a number", target)
     if not (0.0 < target < 1.0):
-        raise RangeError(f"target must lie in (0, 1), got {target}")
+        raise RangeError("target must lie in (0, 1)", target)
     lo, hi = 1e-6, 1.0 - 1e-6
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -50,7 +50,7 @@ from typing import NamedTuple
 from . import mc_backend
 from ._mc_fallback import GAMMA, MASK, mix64, play_game, run_batch
 from .errors import DeuceCapExceeded, RangeError
-from .types import ServeProfile, ServeSchedule, _Record, _set
+from .types import ServeProfile, ServeSchedule, _Record, _is_int, _set
 
 __all__ = [
     "SimConfig",
@@ -94,27 +94,21 @@ class SimConfig(_Record):
     def __init__(
         self, n_games: int, seed: int, max_deuce_cycles: int = 10**6, first_game: int = 0
     ):
-        _set(self, "n_games", n_games)
-        _set(self, "seed", seed)
-        _set(self, "max_deuce_cycles", max_deuce_cycles)
-        _set(self, "first_game", first_game)
-        for name in self._fields:
-            value = getattr(self, name)
-            if not isinstance(value, int) or value.__class__ is bool:
-                raise RangeError(f"{name} must be an integer, got {value!r}")
-        if self.n_games < 1:
-            raise RangeError(f"n_games must be >= 1, got {self.n_games}")
-        if self.max_deuce_cycles < 1:
-            raise RangeError(f"max_deuce_cycles must be >= 1, got {self.max_deuce_cycles}")
-        if not (0 <= self.seed <= MASK):
+        for name, value in zip(self._fields, (n_games, seed, max_deuce_cycles, first_game)):
+            _set(self, name, value)
+            if not _is_int(value):
+                raise RangeError(f"{name} must be an integer", value)
+        if n_games < 1:
+            raise RangeError("n_games must be >= 1", n_games)
+        if max_deuce_cycles < 1:
+            raise RangeError("max_deuce_cycles must be >= 1", max_deuce_cycles)
+        if not (0 <= seed <= MASK):
             raise RangeError("seed must fit in 64 bits")
-        if self.first_game < 0:
-            raise RangeError(f"first_game must be >= 0, got {self.first_game}")
-        if self.first_game + self.n_games > MASK + 1:
-            raise RangeError(
-                "game indices must fit in 64 bits: first_game + n_games = "
-                f"{self.first_game + self.n_games} > 2**64"
-            )
+        if first_game < 0:
+            raise RangeError("first_game must be >= 0", first_game)
+        if first_game + n_games > MASK + 1:
+            raise RangeError("game indices must fit in 64 bits: first_game + n_games "
+                             "must be at most 2**64", first_game + n_games)
 
 
 class MetricEstimate(NamedTuple):

@@ -24,7 +24,7 @@ import enum
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import RangeError
+from .errors import RangeError, _shown
 
 __all__ = [
     "PointSource",
@@ -86,11 +86,16 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and value.__class__ is not bool
 
 
+def _is_int(value) -> bool:
+    """The type rule for a count or an index: an int, but not a bool."""
+    return isinstance(value, int) and value.__class__ is not bool
+
+
 def _check_unit(name: str, value: float) -> None:
     if not _is_number(value):
-        raise RangeError(f"{name} must be a number, got {value!r}")
+        raise RangeError(f"{name} must be a number", value)
     if not 0.0 <= value <= 1.0:
-        raise RangeError(f"{name} must lie in [0, 1], got {value!r}")
+        raise RangeError(f"{name} must lie in [0, 1]", value)
 
 
 class PointSource(enum.Enum):
@@ -178,10 +183,8 @@ class ServeSchedule(_Record):
         try:
             prefix, deuce_cycle = tuple(prefix), tuple(deuce_cycle)
         except TypeError:  # not iterable
-            raise RangeError(
-                f"prefix and deuce_cycle must be sequences of PointSource, "
-                f"got {prefix!r} and {deuce_cycle!r}"
-            ) from None
+            raise RangeError("prefix and deuce_cycle must be sequences of PointSource",
+                             (prefix, deuce_cycle)) from None
         _set(self, "prefix", prefix)
         _set(self, "deuce_cycle", deuce_cycle)
         if len(prefix) not in (0, 6):
@@ -189,12 +192,10 @@ class ServeSchedule(_Record):
                 f"prefix must cover points 1..6 or be empty, got length {len(prefix)}"
             )
         if len(deuce_cycle) not in (1, 2):
-            raise RangeError(
-                f"deuce cycle length must be 1 or 2, got {len(deuce_cycle)}"
-            )
+            raise RangeError("deuce cycle length must be 1 or 2", len(deuce_cycle))
         for src in prefix + deuce_cycle:
             if src.__class__ is not PointSource:
-                raise RangeError(f"schedule entries must be PointSource, got {src!r}")
+                raise RangeError("schedule entries must be PointSource", src)
         _set(self, "all_f_served", _S not in prefix and _S not in deuce_cycle)
         # a source indexes a (p_f, p_s) pair: 0 for F_FULL, 1 otherwise;
         # an empty prefix picks the empty slice, as itemgetter() takes no index
@@ -245,7 +246,7 @@ def rule_bj(order: int = 1) -> ServeSchedule:
     metrics.
     """
     if order not in (1, 2):
-        raise RangeError(f"order must be 1 or 2, got {order!r}")
+        raise RangeError("order must be 1 or 2", order)
     return _RULE_BJ[order]
 
 
@@ -263,7 +264,7 @@ def rule_b(order: int = 1) -> ServeSchedule:
     metrics.
     """
     if order not in (1, 2):
-        raise RangeError(f"order must be 1 or 2, got {order!r}")
+        raise RangeError("order must be 1 or 2", order)
     return _RULE_B[order]
 
 
@@ -274,7 +275,7 @@ def rule_c(x: int = 3) -> ServeSchedule:
     point, so those points resolve at p_S.  The headline proposal is x=3.
     """
     if not isinstance(x, int) or not (0 <= x <= 6):
-        raise RangeError(f"x must be an integer in 0..6, got {x!r}")
+        raise RangeError("x must be an integer in 0..6", x)
     return _RULE_C[x]
 
 
@@ -290,7 +291,7 @@ def schedule_for(kind: RuleKind, order: int = 1, x: int | None = None) -> ServeS
         return rule_b(order)
     if kind is RuleKind.C:
         return rule_c(3 if x is None else x)
-    raise RangeError(f"unknown rule kind {kind!r}")
+    raise RangeError(f"unknown rule kind {_shown(kind)}")
 
 
 class GameMetrics(NamedTuple):

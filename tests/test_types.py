@@ -1,3 +1,4 @@
+import math
 import pickle
 from decimal import Decimal
 from fractions import Fraction
@@ -5,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from servelab.atp import FitRow, FitSummary, PlayerStats
-from servelab.errors import RangeError
-from servelab.shaping import CompareRow, ShapingSolution, ShapingTargets
+from servelab.engine import deuce_closure, walk_expected_duration
+from servelab.errors import RangeError, ServelabError
+from servelab.shaping import CompareRow, ShapingSolution, ShapingTargets, invert_p_win_T
 from servelab.simulate import MetricEstimate, SimConfig, SimResult
 from servelab.types import (
     GameMetrics,
@@ -201,16 +203,96 @@ class TestSharedRules:
         (lambda: rule_b(0), "order must be 1 or 2, got 0"),
         (lambda: rule_c(7), "x must be an integer in 0..6, got 7"),
         (lambda: rule_c(1.5), "x must be an integer in 0..6, got 1.5"),
+        (lambda: ServeProfile("0.5", 0.5), "p_f must be a number, got '0.5'"),
+        (lambda: ServeProfile(0.5, 1.5), "p_s must lie in [0, 1], got 1.5"),
+        (lambda: ServeSchedule((), None),
+         "prefix and deuce_cycle must be sequences of PointSource, got ((), None)"),
+        (lambda: ServeSchedule((F,) * 5, (F,)),
+         "prefix must cover points 1..6 or be empty, got length 5"),
+        (lambda: ServeSchedule((), ()), "deuce cycle length must be 1 or 2, got 0"),
+        (lambda: ServeSchedule((), ("F",)), "schedule entries must be PointSource, got 'F'"),
+        (lambda: schedule_for("C"), "unknown rule kind 'C'"),
+        (lambda: deuce_closure(None), "cycle must be a sequence of 1 or 2 numbers, got None"),
+        (lambda: deuce_closure((0.5,) * 3), "cycle length must be 1 or 2, got 3"),
+        (lambda: deuce_closure((0.5, "0.5")), "cycle[1] must be a number, got '0.5'"),
+        (lambda: deuce_closure((2, 0.5)), "cycle[0] must lie in [0, 1], got 2"),
+        (lambda: walk_expected_duration(0, 0.5), "n must be an integer >= 1, got 0"),
+        (lambda: walk_expected_duration(10_001, 0.5), "n capped at 10000, got 10001"),
+        (lambda: walk_expected_duration(2, None), "p must be a number, got None"),
+        (lambda: walk_expected_duration(2, 1.0), "p must lie in (0, 1), got 1.0"),
+        (lambda: ShapingTargets("0.6", 0.7), "targets must be numbers, got ('0.6', 0.7)"),
+        (lambda: ShapingTargets(0.8, 0.7),
+         "targets must satisfy 0.5 < low < high < 1, got (0.8, 0.7)"),
+        (lambda: invert_p_win_T("0.6"), "target must be a number, got '0.6'"),
+        (lambda: invert_p_win_T(1.0), "target must lie in (0, 1), got 1.0"),
+        (lambda: SimConfig(1.5, 0), "n_games must be an integer, got 1.5"),
+        (lambda: SimConfig(0, 0), "n_games must be >= 1, got 0"),
+        (lambda: SimConfig(1, 0, max_deuce_cycles=0), "max_deuce_cycles must be >= 1, got 0"),
+        (lambda: SimConfig(1, 2**64), "seed must fit in 64 bits"),
+        (lambda: SimConfig(1, 0, first_game=-1), "first_game must be >= 0, got -1"),
+        (lambda: SimConfig(2, 0, first_game=2**64 - 1),
+         "game indices must fit in 64 bits: first_game + n_games must be at most 2**64, "
+         "got 18446744073709551617"),
+        (lambda: ServeProfile(10**5000, 0.5), "p_f must lie in [0, 1], got <int too long to print>"),
+        (lambda: rule_bj((10**5000, 0.5)), "order must be 1 or 2, got <tuple too long to print>"),
     ])
     def test_bad_arguments_keep_their_messages(self, call, message):
         with pytest.raises(RangeError) as info:
             call()
         assert str(info.value) == message
 
+    def test_range_error_pickles_with_its_message(self):
+        with pytest.raises(RangeError) as info:
+            rule_c(7)
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert copy.__class__ is RangeError
+        assert str(copy) == str(info.value) == "x must be an integer in 0..6, got 7"
+        assert str(RangeError("plain message")) == "plain message"
+
     def test_equal_numbers_select_the_same_rule(self):
         assert rule_bj(1.0) is rule_bj(1)
         assert rule_b(2.0) is rule_b(2)
         assert rule_c(True) is rule_c(1)
+
+
+_HUGE = 10**5000  # past the int repr limit, sys.get_int_max_str_digits()
+# values no public callable takes, and those it takes only in a narrow range
+_ODD_VALUES = [_HUGE, -_HUGE, (_HUGE, 0.5), 2**64, math.nan, math.inf, -math.inf,
+               "0.5", None, True, Decimal("0.5")]
+# (callable, arguments it accepts); each position in turn gets each odd value
+_REFUSERS = [
+    (ServeProfile, (0.6, 0.4)),
+    (ServeSchedule, ((), (F,))),
+    (rule_bj, (1,)),
+    (rule_b, (1,)),
+    (rule_c, (3,)),
+    (schedule_for, (RuleKind.C, 1, 3)),
+    (deuce_closure, ((0.6, 0.4),)),
+    (walk_expected_duration, (3, 0.5)),
+    (ShapingTargets, (0.6, 0.75)),
+    (invert_p_win_T, (0.7,)),
+    (SimConfig, (10, 3, 100, 0)),
+]
+_REFUSER_POSITIONS = [(call, good, i) for call, good in _REFUSERS for i in range(len(good))]
+
+
+class TestRefusals:
+    """A public callable given any value returns or raises a ServelabError."""
+
+    @pytest.mark.parametrize("call,good,position", _REFUSER_POSITIONS,
+                             ids=[f"{c.__name__}[{i}]" for c, _, i in _REFUSER_POSITIONS])
+    def test_nothing_but_a_servelab_error_escapes(self, call, good, position):
+        escaped = []
+        for n, value in enumerate(_ODD_VALUES):
+            args = list(good)
+            args[position] = value
+            try:
+                call(*args)
+            except ServelabError:
+                pass
+            except Exception as exc:  # any other class is the failure
+                escaped.append((n, exc.__class__.__name__))
+        assert escaped == []  # (index into _ODD_VALUES, exception class)
 
 
 class TestRecordRule:
