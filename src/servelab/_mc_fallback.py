@@ -15,10 +15,15 @@ by one point per step:
 - Integer thresholds: u < p exactly when the 64-bit mix is below
   threshold(p), so one add sets bit 64 of each slot whose point F lost.
 - Lane sets: the live games are grouped by score and break points, each
-  group an int with bit 128*j + 64 set for each member lane j; finished
-  groups go into the sums by bit count.
+  group an int with one byte per lane, 1 for each member lane and 0 for
+  the rest (2 KB for a chunk of 2,048 games).  Byte 8 of a slot holds
+  bit 64 and seven bits that are always 0, so bytes 8, 24, 40, ... of a
+  step's sum are the lane set of the points F lost.  Finished groups go
+  into the sums by bit count.
 - Compaction: once at most a quarter of the slots are live, the live
   lanes are re-packed, so long deuce runs stop costing the full width.
+  A lane set's bytes are the flags that pick its slots, and each
+  re-packed set is a run of 0x01 bytes.
 - Chunks of CHUNK games bound the size of every packed int.
 """
 
@@ -35,9 +40,9 @@ INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
 _SLOT = 128  # bits per lane
 _SLOT_BYTES = _SLOT // 8
-# lanes per chunk: each packed int stays at 16 KB, so peak memory does not
-# grow with the batch
-CHUNK = 1024
+# lanes per chunk: each packed int stays at 32 KB and each lane set at 2 KB,
+# so peak memory does not grow with the batch
+CHUNK = 2048
 
 
 def mix64(z: int) -> int:
@@ -124,12 +129,16 @@ def _mix_lanes(z, low):
 
 
 def _width_constants(ones, probs):
-    """(every, low, step, offset) for packed ints with the lanes of ones
-    (1 in every slot): the lane set of every lane, MASK and GAMMA in
-    every slot, and 2**64 - t in every slot for each threshold t in
-    probs."""
+    """(low, step, offset) for packed ints with the lanes of ones (1 in
+    every slot): MASK and GAMMA in every slot, and 2**64 - t in every
+    slot for each threshold t in probs."""
     offset = {t: (MASK + 1 - t) * ones for t in set(probs)}
-    return ones << 64, ones * MASK, ones * GAMMA, offset
+    return ones * MASK, ones * GAMMA, offset
+
+
+def _run(n, used=0):
+    """The lane set of lanes [used, used + n): one 0x01 byte per lane."""
+    return int.from_bytes(b"\x01" * n, "little") << (8 * used)
 
 
 def _play_lanes(ctr, ones, probs, n_prefix, count_bp, max_points):
@@ -139,25 +148,31 @@ def _play_lanes(ctr, ones, probs, n_prefix, count_bp, max_points):
 
     probs[k] is the threshold for draw k, for k < n_prefix, and cycles
     through probs[n_prefix:] after that.  A live game is keyed by its
-    score (f, s) and its break points so far b; scores in the tied region
-    are kept at 3:3, 4:3 or 3:4, and a deuce-only game starts at 3:3, so
-    one rule decides every game: a player with 4+ points and a lead of 2
-    has won.  Games still live after max_points points are truncated.
+    score (f, s) and its break points so far b, and each key holds a lane
+    set: byte j of the int is 1 when lane j is in the set, else 0, so &,
+    ^ and | act lane by lane and bit_count counts lanes.  Scores in the
+    tied region are kept at 3:3, 4:3 or 3:4, and a deuce-only game starts
+    at 3:3, so one rule decides every game: a player with 4+ points and a
+    lead of 2 has won.  Games still live after max_points points are
+    truncated.
     """
     wins = bp_games = sum_pts = sum_pts_sq = sum_bps = sum_bps_sq = 0
     live = width = ones.bit_count()
-    every, low, step, offset = _width_constants(ones, probs)
-    states = {(0, 0, 0) if n_prefix else (3, 3, 0): every}
+    low, step, offset = _width_constants(ones, probs)
+    states = {(0, 0, 0) if n_prefix else (3, 3, 0): _run(width)}
     cyc = probs[n_prefix:]
     for k in range(max_points):
         if live * 4 <= width:
-            ctr, states = _compact(ctr, width, states, every)
+            ctr, states = _compact(ctr, width, states)
             width = live
             ones &= (1 << (_SLOT * width)) - 1
-            every, low, step, offset = _width_constants(ones, probs)
+            low, step, offset = _width_constants(ones, probs)
         t = probs[k] if k < n_prefix else cyc[(k - n_prefix) % len(cyc)]
         # bit 64 of each slot of mix + 2**64 - t is set iff F lost the point
-        lost = (_mix_lanes(ctr, low) + offset[t]) & every
+        # and bits 65..96 are 0, so byte 8 of each slot is that lane's byte;
+        # the sum is below 2**(128 * width), so it fits in width slots
+        lost = int.from_bytes((_mix_lanes(ctr, low) + offset[t]).to_bytes(
+            width * _SLOT_BYTES, "little")[8::_SLOT_BYTES], "little")
         ctr = (ctr + step) & low
         pts = k + 1
         nxt = {}
@@ -190,19 +205,18 @@ def _play_lanes(ctr, ones, probs, n_prefix, count_bp, max_points):
     return (wins, bp_games, sum_pts, sum_pts_sq, sum_bps, sum_bps_sq, live)
 
 
-def _compact(ctr, width, states, every):
+def _compact(ctr, width, states):
     """Re-pack the live lanes of ctr into the lowest slots, grouped by
-    state; return the new counters and the states as contiguous runs."""
+    state; return the new counters and the states as contiguous runs.
+    The bytes of a lane set are its lanes' 0/1 flags."""
     nbytes = width * _SLOT_BYTES
     raw = ctr.to_bytes(nbytes, "little")
     starts = range(0, nbytes, _SLOT_BYTES)
     parts, packed, used = [], {}, 0
     for key, lanes in states.items():
-        # byte 8 of a slot holds its lane-set bit (bit 64)
-        flags = lanes.to_bytes(nbytes, "little")[8::_SLOT_BYTES]
+        flags = lanes.to_bytes(width, "little")
         parts += [raw[j:j + _SLOT_BYTES] for j in compress(starts, flags)]
-        run = every & ((1 << (_SLOT * (len(parts) - used))) - 1)
-        packed[key] = run << (_SLOT * used)
+        packed[key] = _run(len(parts) - used, used)
         used = len(parts)
     return int.from_bytes(b"".join(parts), "little"), packed
 

@@ -86,7 +86,10 @@ def parse_stats(source) -> list[PlayerStats]:
     seen_header = False
     seen_ranks: set[int] = set()
     for line_no, line in _rows_with_line_numbers(source):
-        fields = next(csv.reader([line]))
+        try:
+            fields = next(csv.reader([line]))
+        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+            raise ParseError(str(exc), line_no) from None
         fields = [f.strip() for f in fields]
         if not seen_header:
             if tuple(f.lower() for f in fields) != _HEADER:

@@ -52,11 +52,25 @@ def _prob(text: str) -> float:
     return v
 
 
-def _posint(text: str) -> int:
+def _int(text: str, base: int) -> int:
+    """int(text, base), or a usage error.  A well-formed decimal integer
+    that int() refuses only for its length is out of range, and its
+    digits are not repeated."""
     try:
-        v = int(text)
+        return int(text, base)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        pass
+    body = text.strip()
+    groups = (body[1:] if body.startswith(("+", "-")) else body).split("_")
+    digits = "".join(groups)
+    # base 0 takes a leading 0 only in 0 itself
+    if all(g.isdecimal() for g in groups) and (base or digits.lstrip("0") in ("", digits)):
+        raise argparse.ArgumentTypeError(f"out of range: an integer of {len(digits)} digits")
+    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
+def _posint(text: str) -> int:
+    v = _int(text, 10)
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
     return v
@@ -70,10 +84,7 @@ def _n_games(text: str) -> int:
 
 
 def _seed(text: str) -> int:
-    try:
-        v = int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    v = _int(text, 0)
     if not (0 <= v < 2**64):
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
     return v

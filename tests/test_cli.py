@@ -691,6 +691,21 @@ class TestArgvFuzz:
         assert "Traceback" not in err, argv
 
 
+class TestHugeIntegers:
+    """A well-formed integer past int()'s digit limit is out of range, and
+    its digits are not repeated."""
+
+    @pytest.mark.parametrize("value", ["1" + "0" * 5000, "-" + "9" * 5000],
+                             ids=["10**5000", "-(10**5000-1)"])
+    @pytest.mark.parametrize("flag", ["--seed", "--n", "--max-deuce-cycles"])
+    def test_integer_flag(self, capsys, flag, value):
+        code, out, err = run(capsys, "simulate", "--game", "T", "--p", "0.5", flag, value)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 300 and "Traceback" not in err
+        digits = len(value.lstrip("-"))
+        assert f"argument {flag}: out of range: an integer of {digits} digits" in err
+
+
 # tokens a damaged or hand-edited stats file may hold
 _STATS_TOKENS = (b"nan", b"NaN", b"inf", b"-inf", b"1e308", b"-0.5", b"\xef\xbb\xbf", b"\x00",
                  b'"', b'""', b"'", b",", b"\n", b"\r\n", b"\r", b"#", b"\xff", b"\xc3", b" ", b"")
@@ -735,6 +750,19 @@ class TestStatsFileFuzz:
                 code, _, err = run(capsys, argv[0], str(path), *argv[1:])
                 assert code in (0, 2, 3), (path.read_bytes(), argv, code, err)
                 assert "Traceback" not in err, (path.read_bytes(), argv)
+
+    @pytest.mark.parametrize("row", [
+        "1,{},0.6,0.7,0.5,0.6".format("x" * 131_073),  # one past csv.field_size_limit()
+        "1," + "9" * 2**20,  # a 1 MB line
+    ], ids=["field 131073", "line 1MB"])
+    def test_oversize_row(self, capsys, tmp_path, row):
+        path = tmp_path / "stats.csv"
+        path.write_text(f"{HEADER}\n{row}\n", encoding="utf-8")
+        for argv in (("fit",), ("compare",), ("shape", "--low", "200", "--high", "1")):
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert (code, out) == (3, ""), (argv, err[:300])
+            assert "line 2: " in err and "Traceback" not in err
+            assert len(err.encode()) < 300
 
 
 class TestStatsFileEncoding:

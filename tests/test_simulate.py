@@ -155,6 +155,22 @@ class TestKernelParity:
         assert tuple(got) == per_game_sums(sched, prof, 8, 0, n, max_deuce_cycles=1)
         assert 0 < got[6] < n
 
+    def test_repeated_compaction_with_break_points(self, kernel, monkeypatch):
+        # long deuce runs at p = 0.5: each full chunk is re-packed several
+        # times, and the re-packed states carry break points
+        sched, prof, n = rule_t(), ServeProfile(0.5, 0.5), 2 * _CHUNK + 3
+        most_bps, real_compact = [], kernel._compact
+
+        def compact(ctr, width, states):
+            most_bps.append(max(b for _, _, b in states))
+            return real_compact(ctr, width, states)
+
+        monkeypatch.setattr(kernel, "_compact", compact)
+        got = kernel.run_batch(31, 0, n, sched.prefix_probs(prof),
+                               sched.cycle_probs(prof), sched.all_f_served, 1000)
+        assert tuple(got) == per_game_sums(sched, prof, 31, 0, n, max_deuce_cycles=1000)
+        assert len(most_bps) >= 6 and min(most_bps) > 0
+
     @given(sched=st.sampled_from(_SCHEDULES), pf=_prob, ps=_prob,
            n=st.sampled_from((1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)),
            cap=st.sampled_from((1, 2, 40)), seed=st.integers(0, 2**64 - 1),
@@ -166,6 +182,39 @@ class TestKernelParity:
         got = kernel.run_batch(seed, first, n, sched.prefix_probs(prof),
                                sched.cycle_probs(prof), sched.all_f_served, cap)
         assert tuple(got) == per_game_sums(sched, prof, seed, first, n, cap)
+
+
+class TestGoldenSums:
+    """Results pinned as literals: the parity tests compare run_batch with
+    play_game from the same tree, so a change to both would pass them."""
+
+    @pytest.mark.parametrize("sched,prof,sums", [
+        (rule_t(), ServeProfile(0.62, 0.62), (15600, 6971, 128152, 951012, 11807, 26429, 0)),
+        (rule_c(3), ServeProfile(0.696, 0.55), (15080, 6848, 127817, 960655, 11128, 24278, 0)),
+        (rule_b(2), ServeProfile(0.666, 0.52), (14442, 0, 130975, 997685, 0, 0, 0)),
+    ], ids=["T", "C3", "B2"])
+    def test_run_batch(self, sched, prof, sums):
+        assert fallback.run_batch(2024, 0, 20_000, sched.prefix_probs(prof),
+                                  sched.cycle_probs(prof), sched.all_f_served, 10**6) == sums
+
+    def test_sharded_estimate(self, monkeypatch):
+        forks, real_fork = [], os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        r = estimate_metrics(rule_c(3), ServeProfile(0.696, 0.55),
+                             SimConfig(n_games=8192, seed=2024))
+        assert len(forks) == 1  # two shards
+        assert r.n_games == 8192
+        assert r.win_prob == (0.753173828125, 0.004764032889301828)
+        assert r.expected_points == (6.4136962890625, 0.030504539732570713)
+        assert r.bp_prob == (0.3438720703125, 0.005248367665398637)
+        assert r.expected_bps == (0.562744140625, 0.010696791599826656)
+        _no_child_left()
 
 
 class TestThreshold:
