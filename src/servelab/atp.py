@@ -8,7 +8,7 @@ import warnings
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ParseError, RangeError
+from .errors import ParseError, RangeError, _int_text, _shown
 from .formulas import p_win_T
 
 __all__ = [
@@ -94,25 +94,27 @@ def parse_stats(source) -> list[PlayerStats]:
         if not seen_header:
             if tuple(f.lower() for f in fields) != _HEADER:
                 raise ParseError(
-                    f"expected header {','.join(_HEADER)}, got {line!r}", line_no
+                    f"expected header {','.join(_HEADER)}, got {_shown(line)}", line_no
                 )
             seen_header = True
             continue
         if len(fields) != 6:
             raise ParseError(f"expected 6 fields, got {len(fields)}", line_no)
         try:
-            rank = int(fields[0])
+            rank = _int_text(fields[0])
+        except RangeError as exc:  # well-formed, but too long for int()
+            raise ParseError(f"rank {exc}", line_no)
         except ValueError:
-            raise ParseError(f"rank must be an integer, got {fields[0]!r}", line_no)
+            raise ParseError(f"rank must be an integer, got {_shown(fields[0])}", line_no)
         if rank < 1:
-            raise ParseError(f"rank must be >= 1, got {rank}", line_no)
+            raise ParseError(f"rank must be >= 1, got {_shown(rank)}", line_no)
         name = fields[1]
         rates = {}
         for key, text_value in zip(_RATE_FIELDS, fields[2:]):
             try:
                 value = float(text_value)
             except ValueError:
-                raise ParseError(f"{key} must be a decimal, got {text_value!r}", line_no)
+                raise ParseError(f"{key} must be a decimal, got {_shown(text_value)}", line_no)
             if not (0.0 <= value <= 1.0):
                 raise RangeError(
                     f"line {line_no}: {key} must lie in [0, 1], got {value} "
@@ -120,7 +122,7 @@ def parse_stats(source) -> list[PlayerStats]:
                 )
             rates[key] = value
         if rank in seen_ranks:
-            warnings.warn(f"duplicate rank {rank} in stats table (line {line_no})")
+            warnings.warn(f"duplicate rank {_shown(rank)} in stats table (line {line_no})")
         seen_ranks.add(rank)
         rows.append(PlayerStats(rank=rank, name=name, **rates))
     if not seen_header:

@@ -18,7 +18,7 @@ import warnings
 # Each command imports the modules it runs, so that a process compiles
 # and loads only those; without a bytecode cache that is most of start-up.
 from . import mc_backend
-from .errors import ConsistencyError, ServelabError
+from .errors import ConsistencyError, RangeError, ServelabError, _int_text, _shown
 from .types import RuleKind, ServeProfile, ServeSchedule, schedule_for
 
 __all__ = ["main", "entrypoint"]
@@ -46,27 +46,20 @@ def _prob(text: str) -> float:
     try:
         v = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a number: {_shown(text)}")
     if not (0.0 <= v <= 1.0):
         raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {v}")
     return v
 
 
 def _int(text: str, base: int) -> int:
-    """int(text, base), or a usage error.  A well-formed decimal integer
-    that int() refuses only for its length is out of range, and its
-    digits are not repeated."""
+    """int(text, base), or a usage error (see errors._int_text)."""
     try:
-        return int(text, base)
+        return _int_text(text, base)
+    except RangeError as exc:  # well-formed, but too long for int()
+        raise argparse.ArgumentTypeError(str(exc))
     except ValueError:
-        pass
-    body = text.strip()
-    groups = (body[1:] if body.startswith(("+", "-")) else body).split("_")
-    digits = "".join(groups)
-    # base 0 takes a leading 0 only in 0 itself
-    if all(g.isdecimal() for g in groups) and (base or digits.lstrip("0") in ("", digits)):
-        raise argparse.ArgumentTypeError(f"out of range: an integer of {len(digits)} digits")
-    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}")
 
 
 def _posint(text: str) -> int:
@@ -238,7 +231,7 @@ def _cmd_sweep(args) -> None:
             kind = RuleKind(name)
         except ValueError:
             choices = ",".join(k.value for k in RuleKind)
-            raise _UsageError(f"unknown game {name!r} (choose from {choices})")
+            raise _UsageError(f"unknown game {_shown(name)} (choose from {choices})")
         games.append((kind, schedule_for(kind, x=args.x)))
     delta = args.delta or 0.0
     two_var = args.var == "p_F"
@@ -327,7 +320,7 @@ def _find_player(rows, selector: str):
             return stats
         if rank is None and stats.name.casefold() == selector.casefold():
             return stats
-    raise ServelabError(f"no player matching {selector!r} in the stats file")
+    raise ServelabError(f"no player matching {_shown(selector)} in the stats file")
 
 
 def _cmd_shape(args) -> None:

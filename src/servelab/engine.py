@@ -6,9 +6,10 @@ arbitrary ServeSchedule.  Every six-point prefix has the same lattice
 states, so the lattice is written out as straight-line arithmetic over
 the six point chances, in a fixed operation order.  All five games
 take the same path: a deuce-type game has an empty prefix, so its whole
-mass starts level and goes straight to the closure.  The lattice and
-deuce_closure return plain tuples (the lattice's in LatticeMasses field
-order), so metrics_exact builds only the GameMetrics it returns.
+mass starts level and goes straight to the closure.  The lattice returns
+the six masses metrics_exact reads (win, len_sum, bp_first, bp_visits,
+tie_clean, tie_seen) and deuce_closure its four values, both as plain
+tuples, so metrics_exact builds only the GameMetrics it returns.
 
 metrics_exact reads a profile once, as the float pair (p_F, p_S): the
 ServeProfile checked it when it was built, so the pair is not checked
@@ -23,7 +24,7 @@ any disagreement the engine is authoritative.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import RangeError, SingularProfile
 from .types import GameMetrics, ServeProfile, ServeSchedule, _check_unit, _is_int, _is_number
@@ -73,30 +74,18 @@ def _closure(a: float, b: float) -> tuple[float, float, float, float]:
     return win, expected_len, bp_indicator, bp_count
 
 
-class LatticeMasses(NamedTuple):
-    """Raw accumulators from one pre-tie propagation (before closure).
-
-    _lattice returns them as a plain tuple in this field order; this class
-    names that layout.
-    """
-
-    win: float
-    lose: float
-    len_sum: float  # sum over absorbed paths of (points played * mass)
-    bp_first: float  # mass whose first break-point state occurs pre-tie
-    bp_visits: float  # occupancy-weighted count of break-point states
-    tie_clean: float  # mass level after the prefix, never having faced a break point
-    tie_seen: float  # mass level after the prefix, after at least one break point
-
-
-_LEVEL_START = (0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)  # LatticeMasses order
+_LEVEL_START = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)  # _lattice's order
 
 
 def _lattice(sched: ServeSchedule, pick: tuple[float, float]) -> tuple[float, ...]:
     """Propagate the six-point prefix at pick = (p_f, p_s); mXY is the
     mass at F X : S Y.
 
-    Returns a plain 7-tuple in LatticeMasses field order.
+    Returns the plain 6-tuple (win, len_sum, bp_first, bp_visits,
+    tie_clean, tie_seen): the mass won pre-tie, points x mass absorbed,
+    the mass whose first break point is pre-tie, break-point visits, and
+    the mass level after the prefix with no break point faced and with one.
+    The mass lost pre-tie enters only len_sum.
 
     Written out state by state, since every six-point schedule has the
     same lattice.  At a break point (receiver at 3, F at most 2) the mass
@@ -106,8 +95,8 @@ def _lattice(sched: ServeSchedule, pick: tuple[float, float]) -> tuple[float, ..
     loses it.  The operations and their order are those of
     `dict_lattice` in tests/test_engine.py: F reaching 4, the interior
     states, then break points, fresh before seen.  Accumulators sum left
-    to right (`lose = lose + a + b`, never `lose += a + b`), so every
-    field is bit-identical to that reference.
+    to right (`len_sum = len_sum + a + b`, never `len_sum += a + b`), so
+    every field is bit-identical to that reference.
     """
     if not sched.prefix:
         # a deuce-type game starts level, before any break point
@@ -121,15 +110,13 @@ def _lattice(sched: ServeSchedule, pick: tuple[float, float]) -> tuple[float, ..
     m30, m21, m12, m03 = a, (m20 - a) + b, (m11 - b) + c, m02 - c
     # point 4: F wins from 3:0, or loses the break point at 0:3
     a, b, c, d = m30 * p3, m21 * p3, m12 * p3, m03 * p3
-    win, lose = a, m03 - d
-    len_sum = 4 * win + 4 * lose
+    win, len_sum = a, 4 * a + 4 * (m03 - d)
     bp_visits = bp_first = m03
     m31, m22, m13, m13_seen = (m30 - a) + b, (m21 - b) + c, m12 - c, d
     # point 5: F wins from 3:1, or loses a break point at 1:3
     a, b, c, d = m31 * p4, m22 * p4, m13 * p4, m13_seen * p4
     lost, lost_seen = m13 - c, m13_seen - d
     win += a
-    lose = lose + lost + lost_seen
     len_sum = len_sum + 5 * a + 5 * lost + 5 * lost_seen
     bp_visits = bp_visits + m13 + m13_seen
     bp_first += m13
@@ -139,11 +126,10 @@ def _lattice(sched: ServeSchedule, pick: tuple[float, float]) -> tuple[float, ..
     a, c, d = m32 * p5, m23 * p5, m23_seen * p5
     lost, lost_seen = m23 - c, m23_seen - d
     win += a
-    lose = lose + lost + lost_seen
     len_sum = len_sum + 6 * a + 6 * lost + 6 * lost_seen
     bp_visits = bp_visits + m23 + m23_seen
     bp_first += m23
-    return win, lose, len_sum, bp_first, bp_visits, m32 - a, c + d
+    return win, len_sum, bp_first, bp_visits, m32 - a, c + d
 
 
 def metrics_exact(sched: ServeSchedule, prof: ServeProfile) -> GameMetrics:
@@ -157,7 +143,7 @@ def metrics_exact(sched: ServeSchedule, prof: ServeProfile) -> GameMetrics:
     """
     pick = (float(prof.p_f), float(prof.p_s))
     c_win, c_len, c_bp_indicator, c_bp_count = _closure(*sched._pick_ends(pick))
-    win, _, len_sum, bp_first, bp_visits, tie_clean, tie_seen = _lattice(sched, pick)
+    win, len_sum, bp_first, bp_visits, tie_clean, tie_seen = _lattice(sched, pick)
     tie_total = tie_clean + tie_seen
     win = win + tie_total * c_win
     points = len_sum + tie_total * (len(sched.prefix) + c_len)

@@ -1,16 +1,24 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the helpers that word refusals."""
 
 
 class ServelabError(Exception):
     """Base class for every error raised by this package."""
 
 
+_SHOWN_MAX = 200  # longest repr shown whole
+
+
 def _shown(value) -> str:
-    """repr(value), or the value's type where repr raises ValueError."""
+    """repr(value), or the value's type where repr raises ValueError.  A repr
+    longer than _SHOWN_MAX is shown by its ends and its length."""
     try:
-        return repr(value)
+        text = repr(value)
     except ValueError:  # an int past sys.get_int_max_str_digits(), or a tuple holding one
         return f"<{value.__class__.__name__} too long to print>"
+    if len(text) <= _SHOWN_MAX:
+        return text
+    edge = _SHOWN_MAX // 4
+    return f"{text[:edge]}...{text[-edge:]} (a repr of {len(text)} characters)"
 
 
 class RangeError(ServelabError):
@@ -19,6 +27,21 @@ class RangeError(ServelabError):
 
     def __init__(self, message, *value):
         super().__init__(f"{message}, got {_shown(*value)}" if value else message)
+
+
+def _int_text(text: str, base: int = 10) -> int:
+    """int(text, base), but a well-formed decimal integer that int() refuses
+    only for its length raises RangeError naming its digit count."""
+    try:
+        return int(text, base)
+    except ValueError:
+        body = text.strip()
+        groups = (body[1:] if body.startswith(("+", "-")) else body).split("_")
+        digits = "".join(groups)
+        # base 0 takes a leading 0 only in 0 itself
+        if all(g.isdecimal() for g in groups) and (base or digits.lstrip("0") in ("", digits)):
+            raise RangeError(f"out of range: an integer of {len(digits)} digits") from None
+        raise
 
 
 class SingularProfile(ServelabError):

@@ -33,10 +33,10 @@ first with run_batch, and a forked child plays each other range with the
 same run_batch and writes its 7 integer sums to a pipe.  Since the games
 of a range draw only from their own substreams, and the sums are added
 as integers, the totals are those of one serial run_batch, bit for bit.
-A child that fails has its range replayed here, and every child is
-reaped before the call returns or raises.  Smaller batches run serially,
-since forking and reaping a child costs about as much as playing 2,048
-games (see _SHARD_MIN).
+A range whose child could not be forked, or failed, is played here, and
+every child is reaped before the call returns or raises.  Smaller
+batches run serially, since forking and reaping a child costs about as
+much as playing 2,048 games (see _SHARD_MIN).
 """
 
 from __future__ import annotations
@@ -205,42 +205,35 @@ def _batch_sums(seed: int, first_game: int, n_games: int, args: tuple) -> tuple:
     """run_batch(seed, first_game, n_games, *args), played by
     _shard_count(n_games) processes; the sums are the serial ones exactly."""
     shards = _shard_count(n_games)
-    if shards == 1:
-        return run_batch(seed, first_game, n_games, *args)
     cuts = [first_game + n_games * j // shards for j in range(shards + 1)]
-    workers = []  # (pid, read end of its pipe, first game, games), not yet reaped
+    ranges = list(zip(cuts[1:], cuts[2:]))  # every range but the first
+    workers = []  # (pid, read end of its pipe) for the first ranges, in order
     try:
-        end = cuts[-1]  # this process plays [first_game, end)
-        for lo in reversed(cuts[1:-1]):
+        for lo, hi in ranges:
             try:
-                workers.append((*_fork_shard(seed, lo, end - lo, args), lo, end - lo))
+                workers.append(_fork_shard(seed, lo, hi - lo, args))
             except OSError:  # no pipe or process to be had: play the rest here
                 break
-            end = lo
-        totals = run_batch(seed, first_game, end - first_game, *args)
-        while workers:
-            pid, fd, lo, games = workers[0]
-            with open(fd, "rb", closefd=False) as pipe:
-                out = pipe.read().split()
-            status = os.waitpid(pid, 0)[1]
-            workers.pop(0)
-            os.close(fd)
-            if status == 0 and len(out) == 7 and all(v.isdigit() for v in out):
-                sums = [int(v) for v in out]
-            else:  # the worker failed: play its games here
-                sums = run_batch(seed, lo, games, *args)
+        totals = run_batch(seed, first_game, cuts[1] - first_game, *args)
+        for j, (lo, hi) in enumerate(ranges):
+            out = workers[j][1].read().split() if j < len(workers) else []
+            if len(out) == 7 and all(v.isdigit() for v in out):
+                sums = map(int, out)
+            else:  # no worker played these games, or it failed: play them here
+                sums = run_batch(seed, lo, hi - lo, *args)
             totals = [a + b for a, b in zip(totals, sums)]
     finally:
-        for pid, fd, _, _ in workers:
+        # a worker whose pipe was read to its end has exited; kill the rest
+        for pid, pipe in workers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            os.close(fd)
+            pipe.close()
     return tuple(totals)
 
 
-def _fork_shard(seed: int, first_game: int, n_games: int, args: tuple) -> tuple[int, int]:
+def _fork_shard(seed: int, first_game: int, n_games: int, args: tuple) -> tuple:
     """Fork a child that writes run_batch's sums for its games to a pipe
-    and exits; return (its pid, the pipe's read end)."""
+    and exits; return (its pid, the pipe's read end as a binary file)."""
     fd, wfd = os.pipe()
     try:
         pid = os.fork()
@@ -254,9 +247,10 @@ def _fork_shard(seed: int, first_game: int, n_games: int, args: tuple) -> tuple[
         try:
             os.close(fd)
             sums = run_batch(seed, first_game, n_games, *args)
+            # under PIPE_BUF bytes, so the pipe takes all of it or none
             os.write(wfd, " ".join(map(str, sums)).encode())
             code = 0
         finally:
             os._exit(code)
     os.close(wfd)
-    return pid, fd
+    return pid, open(fd, "rb")

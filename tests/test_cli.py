@@ -706,6 +706,67 @@ class TestHugeIntegers:
         assert f"argument {flag}: out of range: an integer of {digits} digits" in err
 
 
+def _ends(head: str, tail: str, length: int) -> str:
+    """How a refusal shows a value whose repr is longer than 200 characters."""
+    return f"{head}...{tail} (a repr of {length} characters)"
+
+
+class TestLongValues:
+    """A refused value of any length gives a short message: its repr's ends
+    and its length, or a well-formed integer's digit count."""
+
+    _ROW = "1,X,0.6,0.7,0.5,0.8"
+
+    @pytest.mark.parametrize("argv,stats,code,message", [
+        (["simulate", "--game", "T", "--p", "0.5", "--seed", "1" * 5000 + "x"], None, 2,
+         "usage error: argument --seed: not an integer: "
+         + _ends("'" + "1" * 49, "1" * 48 + "x'", 5003)),
+        (["eval", "--game", "T", "--p", "0." + "5" * 4998 + "x"], None, 2,
+         "usage error: argument --p: not a number: "
+         + _ends("'0." + "5" * 47, "5" * 48 + "x'", 5003)),
+        (["sweep", "--games", "T," + "Q" * 50_000, "--start", "0.1", "--stop", "0.9",
+          "--step", "0.1", "--out", "-"], None, 2,
+         "usage error: unknown game " + _ends("'" + "Q" * 49, "Q" * 49 + "'", 50_002)
+         + " (choose from A,Bj,T,B,C)"),
+        (["shape", SAMPLE, "--low", "z" * 50_000, "--high", "1"], None, 3,
+         "error: no player matching " + _ends("'" + "z" * 49, "z" * 49 + "'", 50_002)
+         + " in the stats file"),
+        (["fit", "STATS"], "a," * 100_000, 3,
+         f"error: line 1: expected header {HEADER}, got "
+         + _ends("'" + "a," * 24 + "a", "," + "a," * 24 + "'", 200_002)),
+        (["fit", "STATS"], f"{HEADER}\n{'7' * 6000},X,0.6,0.7,0.5,0.8", 3,
+         "error: line 2: rank out of range: an integer of 6000 digits"),
+        (["fit", "STATS"], f"{HEADER}\n{'r' * 6000},X,0.6,0.7,0.5,0.8", 3,
+         "error: line 2: rank must be an integer, got "
+         + _ends("'" + "r" * 49, "r" * 49 + "'", 6002)),
+        (["fit", "STATS"], f"{HEADER}\n-{'9' * 4000},X,0.6,0.7,0.5,0.8", 3,
+         "error: line 2: rank must be >= 1, got " + _ends("-" + "9" * 49, "9" * 50, 4001)),
+        (["compare", "STATS"], f"{HEADER}\n1,X,{'p' * 6000},0.7,0.5,0.8", 3,
+         "error: line 2: p_f_in must be a decimal, got "
+         + _ends("'" + "p" * 49, "p" * 49 + "'", 6002)),
+    ], ids=["simulate --seed", "eval --p", "sweep --games", "shape --low", "header",
+            "huge rank", "long rank", "long negative rank", "long rate"])
+    def test_message_is_short(self, capsys, tmp_path, argv, stats, code, message):
+        if stats is not None:
+            path = tmp_path / "stats.csv"
+            path.write_text(stats + "\n", encoding="utf-8")
+            argv = [str(path) if a == "STATS" else a for a in argv]
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert "Traceback" not in err and len(err.encode()) < 300
+        assert err == message + "\n"
+
+    def test_duplicate_long_rank_warning_is_short(self, capsys, tmp_path):
+        rank = "9" * 4000
+        path = tmp_path / "stats.csv"
+        path.write_text(f"{HEADER}\n{rank},X,0.6,0.7,0.5,0.8\n{rank},Y,0.6,0.7,0.5,0.8\n",
+                        encoding="utf-8")
+        code, _, err = run(capsys, "fit", str(path))
+        assert code == 0
+        assert err == ("warning: duplicate rank " + _ends("9" * 50, "9" * 50, 4000)
+                       + " in stats table (line 3)\n")
+
+
 # tokens a damaged or hand-edited stats file may hold
 _STATS_TOKENS = (b"nan", b"NaN", b"inf", b"-inf", b"1e308", b"-0.5", b"\xef\xbb\xbf", b"\x00",
                  b'"', b'""', b"'", b",", b"\n", b"\r\n", b"\r", b"#", b"\xff", b"\xc3", b" ", b"")

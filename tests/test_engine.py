@@ -3,13 +3,14 @@
 import pickle
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from servelab import engine, formulas as fm
-from servelab.engine import LatticeMasses, deuce_closure, metrics_exact, walk_expected_duration
+from servelab.engine import deuce_closure, metrics_exact, walk_expected_duration
 from servelab.errors import RangeError, SingularProfile
 from servelab.types import (
     GameMetrics,
@@ -63,6 +64,22 @@ def chances(sources, prof):
     """Point chances for a run of sources: p_F for F_FULL, p_S otherwise.
     The references below read their chances here, not from the schedule."""
     return tuple(prof.p_f if src is PointSource.F_FULL else prof.p_s for src in sources)
+
+
+class LatticeMasses(NamedTuple):
+    """Raw accumulators from one pre-tie propagation (before closure)."""
+
+    win: float
+    lose: float
+    len_sum: float  # sum over absorbed paths of (points played * mass)
+    bp_first: float  # mass whose first break-point state occurs pre-tie
+    bp_visits: float  # occupancy-weighted count of break-point states
+    tie_clean: float  # mass level after the prefix, never having faced a break point
+    tie_seen: float  # mass level after the prefix, after at least one break point
+
+
+# the fields engine._lattice returns, in its order; it drops `lose`
+_ENGINE_LATTICE = ("win", "len_sum", "bp_first", "bp_visits", "tie_clean", "tie_seen")
 
 
 def dict_lattice(probs):
@@ -306,8 +323,9 @@ class TestMetricsExact:
                       rule_c(0), rule_c(3), rule_c(6)):
             for prof in (ServeProfile(0.7, 0.3), ServeProfile(0.05, 0.95),
                          ServeProfile(0.5, 0.5)):
-                lat = LatticeMasses(*engine._lattice(sched, (prof.p_f, prof.p_s)))
-                total = lat.win + lat.lose + lat.tie_clean + lat.tie_seen
+                win, _, _, _, tie_clean, tie_seen = engine._lattice(sched, (prof.p_f, prof.p_s))
+                lose = dict_lattice(chances(sched.prefix, prof)).lose
+                total = win + lose + tie_clean + tie_seen
                 assert total == pytest.approx(1.0, abs=1e-14)
 
     @settings(max_examples=300, deadline=None)
@@ -316,8 +334,9 @@ class TestMetricsExact:
         prof = ServeProfile(pf, ps)
         got = engine._lattice(sched, (pf, ps))
         want = dict_lattice(chances(sched.prefix, prof))
-        for name, a, b in zip(LatticeMasses._fields, got, want):
-            assert a == b, name
+        assert len(got) == len(_ENGINE_LATTICE)
+        for name, value in zip(_ENGINE_LATTICE, got):
+            assert value == getattr(want, name), name
 
     @settings(max_examples=400, deadline=None)
     @given(sched=st.sampled_from(_SCHEDULES), pf=_prob, ps=_prob)

@@ -235,6 +235,17 @@ class TestSharedRules:
          "got 18446744073709551617"),
         (lambda: ServeProfile(10**5000, 0.5), "p_f must lie in [0, 1], got <int too long to print>"),
         (lambda: rule_bj((10**5000, 0.5)), "order must be 1 or 2, got <tuple too long to print>"),
+        (lambda: ServeProfile("x" * 100_000, 0.5),
+         "p_f must be a number, got '" + "x" * 49 + "..." + "x" * 49
+         + "' (a repr of 100002 characters)"),
+        (lambda: ServeProfile(10**4000, 0.5),
+         "p_f must lie in [0, 1], got 1" + "0" * 49 + "..." + "0" * 50
+         + " (a repr of 4001 characters)"),
+        (lambda: ServeProfile(0.5, "y" * 199),  # a repr of 201 characters, one past the cap
+         "p_s must be a number, got '" + "y" * 49 + "..." + "y" * 49
+         + "' (a repr of 201 characters)"),
+        (lambda: ServeProfile(0.5, "y" * 198),
+         "p_s must be a number, got '" + "y" * 198 + "'"),
     ])
     def test_bad_arguments_keep_their_messages(self, call, message):
         with pytest.raises(RangeError) as info:
@@ -258,7 +269,8 @@ class TestSharedRules:
 _HUGE = 10**5000  # past the int repr limit, sys.get_int_max_str_digits()
 # values no public callable takes, and those it takes only in a narrow range
 _ODD_VALUES = [_HUGE, -_HUGE, (_HUGE, 0.5), 2**64, math.nan, math.inf, -math.inf,
-               "0.5", None, True, Decimal("0.5")]
+               "0.5", None, True, Decimal("0.5"), "x" * 100_000, 10**4000]
+_MESSAGE_MAX = 300  # longest refusal message, whatever the value
 # (callable, arguments it accepts); each position in turn gets each odd value
 _REFUSERS = [
     (ServeProfile, (0.6, 0.4)),
@@ -277,22 +289,25 @@ _REFUSER_POSITIONS = [(call, good, i) for call, good in _REFUSERS for i in range
 
 
 class TestRefusals:
-    """A public callable given any value returns or raises a ServelabError."""
+    """A public callable given any value returns or raises a ServelabError,
+    whose message stays short however long the value."""
 
     @pytest.mark.parametrize("call,good,position", _REFUSER_POSITIONS,
                              ids=[f"{c.__name__}[{i}]" for c, _, i in _REFUSER_POSITIONS])
     def test_nothing_but_a_servelab_error_escapes(self, call, good, position):
-        escaped = []
+        escaped, long = [], []
         for n, value in enumerate(_ODD_VALUES):
             args = list(good)
             args[position] = value
             try:
                 call(*args)
-            except ServelabError:
-                pass
+            except ServelabError as exc:
+                if len(str(exc)) > _MESSAGE_MAX:
+                    long.append((n, len(str(exc))))
             except Exception as exc:  # any other class is the failure
                 escaped.append((n, exc.__class__.__name__))
         assert escaped == []  # (index into _ODD_VALUES, exception class)
+        assert long == []  # (index into _ODD_VALUES, message length)
 
 
 class TestRecordRule:
