@@ -22,9 +22,6 @@ __all__ = [
     "sample_path",
 ]
 
-_HEADER = ("rank", "name", "p_f_in", "p_f_won", "p_s_won", "p_t_won")
-_RATE_FIELDS = ("p_f_in", "p_f_won", "p_s_won", "p_t_won")
-
 
 class PlayerStats(NamedTuple):
     """One player row: observed service rates, two-decimal precision at
@@ -41,6 +38,10 @@ class PlayerStats(NamedTuple):
     p_f_won: float
     p_s_won: float
     p_t_won: float
+
+
+_HEADER = PlayerStats._fields  # a stats file's columns, in order
+_RATE_FIELDS = _HEADER[2:]
 
 
 class FitRow(NamedTuple):
@@ -98,8 +99,8 @@ def parse_stats(source) -> list[PlayerStats]:
                 )
             seen_header = True
             continue
-        if len(fields) != 6:
-            raise ParseError(f"expected 6 fields, got {len(fields)}", line_no)
+        if len(fields) != len(_HEADER):
+            raise ParseError(f"expected {len(_HEADER)} fields, got {len(fields)}", line_no)
         try:
             rank = _int_text(fields[0])
         except RangeError as exc:  # well-formed, but too long for int()

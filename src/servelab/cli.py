@@ -62,15 +62,10 @@ def _int(text: str, base: int) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}")
 
 
-def _posint(text: str) -> int:
+def _n_games(text: str) -> int:
     v = _int(text, 10)
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    return v
-
-
-def _n_games(text: str) -> int:
-    v = _posint(text)
     if v > _MAX_SIM_GAMES:
         raise argparse.ArgumentTypeError(f"must be <= {_MAX_SIM_GAMES}, got {v}")
     return v
@@ -251,7 +246,7 @@ def _cmd_sweep(args) -> None:
             try:
                 m = metrics_exact(sched, prof)
             except ServelabError as exc:  # singular corner of the grid
-                print(f"warning: skipped {kind.value} at {v:.6f}: {exc}", file=sys.stderr)
+                warnings.warn(f"skipped {kind.value} at {v:.6f}: {exc}")
                 continue
             for name, value in _defined(m):
                 lines.append(f"{kind.value},{name},{at},{_fmt(value)}")
@@ -359,9 +354,7 @@ def _cmd_simulate(args) -> None:
     from .simulate import SimConfig, estimate_metrics
 
     kind, prof, _, sched = _resolve_game(args)
-    cfg = SimConfig(
-        n_games=args.n, seed=args.seed, max_deuce_cycles=args.max_deuce_cycles
-    )
+    cfg = SimConfig(n_games=args.n, seed=args.seed)
     m = metrics_exact(sched, prof)  # a singular profile fails here, before any draw
     res = estimate_metrics(sched, prof, cfg)
     rows = []
@@ -429,8 +422,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=_n_games, default=10_000,
                    help=f"games to play, at most {_MAX_SIM_GAMES}")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--max-deuce-cycles", type=_posint, default=10**6,
-                   dest="max_deuce_cycles")
     p.set_defaults(func=_cmd_simulate)
 
     for name, p in sub.choices.items():
@@ -440,7 +431,7 @@ def build_parser() -> _Parser:
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None):
-    """Show a library warning (e.g. a duplicate rank) as sweep shows its own."""
+    """Show a warning (a duplicate rank, a skipped grid point) as one line."""
     print(f"warning: {message}", file=sys.stderr)
 
 
@@ -451,6 +442,8 @@ def main(argv=None) -> int:
         if getattr(args, "func", None) is None:
             raise _UsageError("a subcommand is required (see --help)")
         with warnings.catch_warnings():
+            # every warning is a line on stderr, whatever -W or PYTHONWARNINGS asks
+            warnings.simplefilter("always")
             warnings.showwarning = _print_warning
             args.func(args)
     except SystemExit as exc:  # --help

@@ -53,8 +53,8 @@ class SingularProfile(ServelabError):
 
 
 class DeuceCapExceeded(ServelabError):
-    """A simulated deuce ran past the configured cycle cap, which signals
-    a pathological profile such as (1, 0)."""
+    """A simulated deuce ran past the cycle cap, 1,000,000 deuce cycles,
+    which signals a pathological profile such as (1, 0)."""
 
 
 class DegenerateProfile(ServelabError):

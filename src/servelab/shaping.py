@@ -55,13 +55,17 @@ def invert_p_win_T(target: float) -> float:
     """The unique p with p_win_T(p) = target, by bisection to 1e-9.
 
     p_win_T is strictly increasing on (0, 1), so plain bisection on
-    [1e-6, 1 - 1e-6] suffices.
+    [1e-6, 1 - 1e-6] suffices.  A target below p_win_T(1e-6), about
+    1.5e-23, has its p below that bracket and raises RangeError.
     """
     if not _is_number(target):
         raise RangeError("target must be a number", target)
     if not (0.0 < target < 1.0):
         raise RangeError("target must lie in (0, 1)", target)
     lo, hi = 1e-6, 1.0 - 1e-6
+    lowest = formulas.p_win_T(lo)
+    if target < lowest:  # its p lies below the bracket
+        raise RangeError(f"target must be at least p_win_T({lo}) = {lowest:.3g}", target)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if formulas.p_win_T(mid) < target:

@@ -69,6 +69,10 @@ __all__ = [
 # that, two shards of 4,096 ran 1.3x faster than one batch of 8,192.
 _SHARD_MIN = 4096
 
+# deuce cycles after which a game still tied raises DeuceCapExceeded; only
+# a pathological profile such as (1, 0) gets near it
+_MAX_DEUCE_CYCLES = 10**6
+
 
 class SplitMix64:
     """Draw stream for one simulated game (see module docstring)."""
@@ -89,19 +93,15 @@ class SimConfig(_Record):
     """One Monte Carlo batch; first_game is the absolute index of its first
     game (the shard offset)."""
 
-    __slots__ = _fields = ("n_games", "seed", "max_deuce_cycles", "first_game")
+    __slots__ = _fields = ("n_games", "seed", "first_game")
 
-    def __init__(
-        self, n_games: int, seed: int, max_deuce_cycles: int = 10**6, first_game: int = 0
-    ):
-        for name, value in zip(self._fields, (n_games, seed, max_deuce_cycles, first_game)):
+    def __init__(self, n_games: int, seed: int, first_game: int = 0):
+        for name, value in zip(self._fields, (n_games, seed, first_game)):
             _set(self, name, value)
             if not _is_int(value):
                 raise RangeError(f"{name} must be an integer", value)
         if n_games < 1:
             raise RangeError("n_games must be >= 1", n_games)
-        if max_deuce_cycles < 1:
-            raise RangeError("max_deuce_cycles must be >= 1", max_deuce_cycles)
         if not (0 <= seed <= MASK):
             raise RangeError("seed must fit in 64 bits")
         if first_game < 0:
@@ -126,10 +126,7 @@ class SimResult(NamedTuple):
 
 
 def simulate_game(
-    sched: ServeSchedule,
-    prof: ServeProfile,
-    rng: SplitMix64,
-    max_deuce_cycles: int = 10**6,
+    sched: ServeSchedule, prof: ServeProfile, rng: SplitMix64
 ) -> tuple[bool, int, int]:
     """Play one game; returns (f_won, points, break_points).
 
@@ -140,7 +137,7 @@ def simulate_game(
     """
     won, pts, bps, rng.k = play_game(
         rng.base, rng.k, sched.prefix_probs(prof), sched.cycle_probs(prof),
-        sched.all_f_served, max_deuce_cycles,
+        sched.all_f_served, _MAX_DEUCE_CYCLES,
     )
     return won, pts, bps
 
@@ -167,12 +164,12 @@ def estimate_metrics(
         cfg.seed,
         cfg.first_game,
         cfg.n_games,
-        (sched.prefix_probs(prof), sched.cycle_probs(prof), count_bp, cfg.max_deuce_cycles),
+        (sched.prefix_probs(prof), sched.cycle_probs(prof), count_bp, _MAX_DEUCE_CYCLES),
     )
     if truncated:
         raise DeuceCapExceeded(
             f"{truncated} of {cfg.n_games} games hit the deuce cycle cap "
-            f"({cfg.max_deuce_cycles}); profile is pathological"
+            f"({_MAX_DEUCE_CYCLES}); profile is pathological"
         )
     n = cfg.n_games
     return SimResult(

@@ -12,6 +12,8 @@ __all__ = ["polyline_chart"]
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#17becf", "#e377c2")
 
+_WIDTH = 640
+_HEIGHT = 420
 _MARGIN_L = 56
 _MARGIN_R = 16
 _MARGIN_T = 28
@@ -36,17 +38,16 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def polyline_chart(series, title: str = "", x_label: str = "",
-                   y_label: str = "", width: int = 640, height: int = 420) -> str:
-    """Render labelled (x, y) series as an SVG line chart.
+def polyline_chart(series, title: str = "", x_label: str = "", y_label: str = "") -> str:
+    """Render labelled (x, y) series as a 640 x 420 SVG line chart.
 
     series: iterable of (label, points) with points a sequence of
     (x, y) pairs.  Returns the SVG document as a string.
     """
     series = [(str(label), list(pts)) for label, pts in series]
     x0, x1, y0, y1 = _bounds(series)
-    pw = width - _MARGIN_L - _MARGIN_R
-    ph = height - _MARGIN_T - _MARGIN_B
+    pw = _WIDTH - _MARGIN_L - _MARGIN_R
+    ph = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(x: float) -> float:
         return _MARGIN_L + (x - x0) / (x1 - x0) * pw
@@ -56,12 +57,12 @@ def polyline_chart(series, title: str = "", x_label: str = "",
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
         out.append(
-            f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13">{escape(title, quote=False)}</text>'
         )
     # axes
@@ -95,7 +96,7 @@ def polyline_chart(series, title: str = "", x_label: str = "",
         )
     if x_label:
         out.append(
-            f'<text x="{_MARGIN_L + pw / 2:.1f}" y="{height - 8}" text-anchor="middle" '
+            f'<text x="{_MARGIN_L + pw / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{escape(x_label, quote=False)}</text>'
         )
     if y_label:

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from xml.dom import minidom
 
@@ -160,13 +161,22 @@ class TestSimulate:
 
         assert simulate.mc_backend is servelab.mc_backend
 
-    def test_deuce_cap_is_a_data_error(self, capsys):
+    def test_deuce_cap_is_a_data_error(self, capsys, monkeypatch):
+        from servelab import simulate
+
+        monkeypatch.setattr(simulate, "_MAX_DEUCE_CYCLES", 1)
         code, _, err = run(
-            capsys, "simulate", "--game", "Bj", "--pf", "0.5", "--ps", "0.5",
-            "--max-deuce-cycles", "1", "--n", "50",
+            capsys, "simulate", "--game", "Bj", "--pf", "0.5", "--ps", "0.5", "--n", "50",
         )
         assert code == 3
-        assert "deuce cycle cap" in err
+        assert "deuce cycle cap (1)" in err
+
+    def test_deuce_cap_is_not_a_flag(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--game", "T", "--p", "0.5", "--max-deuce-cycles", "5",
+        )
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --max-deuce-cycles 5" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -272,6 +282,26 @@ class TestFit:
         code, _, err = run(capsys, argv[0], str(f), *argv[1:])
         assert code == 0
         assert err == "warning: duplicate rank 1 in stats table (line 4)\n"
+
+    @pytest.mark.parametrize("argv,err", [
+        (("fit", "DUP"), "warning: duplicate rank 1 in stats table (line 3)\n"),
+        (("compare", "DUP"), "warning: duplicate rank 1 in stats table (line 3)\n"),
+        (("shape", "DUP", "--low", "1", "--high", "1"),
+         "warning: duplicate rank 1 in stats table (line 3)\n"),
+        (("sweep", "--games", "Bj", "--var", "p_F", "--start", "0.9", "--stop", "1.0",
+          "--step", "0.1", "--out", "-"),
+         "warning: skipped Bj at 1.000000: tied-region cycle (1.0, 0.0) never terminates "
+         "(denominator 0)\n"),
+    ], ids=["fit", "compare", "shape", "sweep"])
+    def test_error_filter_leaves_a_warning_a_warning(self, capsys, tmp_path, argv, err):
+        # as under `python -W error` or PYTHONWARNINGS=error
+        f = tmp_path / "dup.csv"
+        f.write_text(f"{HEADER}\n1,x,0.62,0.77,0.57,0.88\n1,z,0.6,0.75,0.55,0.85\n",
+                     encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, got = run(capsys, *(str(f) if a == "DUP" else a for a in argv))
+        assert (code, got) == (0, err)
 
 
 class TestShape:
@@ -657,7 +687,7 @@ def _argv(csv_paths, out_paths, svg_paths):
     return st.one_of(
         _concat(st.just(["eval"]), game, _json),
         _concat(st.just(["simulate"]), game, _flag("--n", _small_n), _rare("--seed", _num),
-                _rare("--max-deuce-cycles", _num), _json),
+                _json),
         _concat(st.just(["sweep"]), _flag("--games", games),
                 _rare("--var", st.sampled_from(("p", "p_F", "q"))),
                 _flag("--start", st.sampled_from(("0", "0.3")) | _prob),
@@ -697,7 +727,7 @@ class TestHugeIntegers:
 
     @pytest.mark.parametrize("value", ["1" + "0" * 5000, "-" + "9" * 5000],
                              ids=["10**5000", "-(10**5000-1)"])
-    @pytest.mark.parametrize("flag", ["--seed", "--n", "--max-deuce-cycles"])
+    @pytest.mark.parametrize("flag", ["--seed", "--n"])
     def test_integer_flag(self, capsys, flag, value):
         code, out, err = run(capsys, "simulate", "--game", "T", "--p", "0.5", flag, value)
         assert (code, out) == (2, "")

@@ -35,6 +35,13 @@ class TestInvert:
     def test_monotone(self):
         assert invert_p_win_T(0.60) < invert_p_win_T(0.75)
 
+    def test_lowest_target(self):
+        # a lower target's p would lie below the bisection bracket's 1e-6
+        lowest = fm.p_win_T(1e-6)
+        assert invert_p_win_T(lowest) == pytest.approx(1e-6, rel=1e-6)
+        with pytest.raises(RangeError):
+            invert_p_win_T(lowest * (1 - 1e-9))
+
     @pytest.mark.parametrize("t", [0.0, 1.0, -0.3, 1.1, "0.6", None])
     def test_target_bounds(self, t):
         with pytest.raises(RangeError):

@@ -72,7 +72,9 @@ class TestSimulateGame:
     def test_game_lengths_are_feasible(self):
         prof = ServeProfile(0.5, 0.5)
         for i in range(500):
-            _, pts, _ = simulate_game(rule_t(), prof, substream(3, i))
+            rng = substream(3, i)
+            _, pts, _ = simulate_game(rule_t(), prof, rng)
+            assert rng.k == pts  # one draw per point
             # 4..6 points decide it, or the game ties at 6 and then ends
             # an even number of points later (never exactly 7)
             assert pts in (4, 5, 6) or (pts >= 8 and (pts - 6) % 2 == 0)
@@ -83,26 +85,29 @@ class TestSimulateGame:
             _, _, bps = simulate_game(rule_t(), prof, substream(11, i))
             assert bps >= 0
 
-    def test_deuce_cap(self):
+    def test_deuce_cap(self, monkeypatch):
         # cycle probabilities (1, 0) bounce between level and +1 forever
+        monkeypatch.setattr(simulate, "_MAX_DEUCE_CYCLES", 5)
         rng = substream(0, 0)
         with pytest.raises(DeuceCapExceeded):
-            simulate_game(rule_bj(), ServeProfile(1.0, 0.0), rng, max_deuce_cycles=5)
+            simulate_game(rule_bj(), ServeProfile(1.0, 0.0), rng)
         assert rng.k == 0  # a game that raises consumes no draws
 
 
 def per_game_sums(sched, prof, seed, first, n, max_deuce_cycles=10**6):
-    """run_batch's 7-tuple built from simulate_game, one substream per game;
+    """run_batch's 7-tuple built from play_game, one substream per game;
     a game that raises DeuceCapExceeded counts as truncated."""
     wins = bp_games = pts = pts_sq = bps = bps_sq = truncated = 0
+    prefix, cyc = sched.prefix_probs(prof), sched.cycle_probs(prof)
     for i in range(first, first + n):
-        rng = substream(seed, i)
+        base = substream(seed, i).base
         try:
-            won, p, b = simulate_game(sched, prof, rng, max_deuce_cycles)
+            won, p, b, k = fallback.play_game(base, 0, prefix, cyc, sched.all_f_served,
+                                              max_deuce_cycles)
         except DeuceCapExceeded:
             truncated += 1
             continue
-        assert rng.k == p  # one draw per point
+        assert k == p  # one draw per point
         wins += won
         bp_games += b > 0
         pts += p
@@ -277,10 +282,12 @@ class TestEstimateMetrics:
         assert r.win_prob.std_err is None
         assert r.expected_points.std_err is None
 
-    def test_deuce_cap_propagates(self):
-        cfg = SimConfig(n_games=10, seed=0, max_deuce_cycles=4)
-        with pytest.raises(DeuceCapExceeded):
+    def test_deuce_cap_propagates(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_MAX_DEUCE_CYCLES", 4)
+        cfg = SimConfig(n_games=10, seed=0)
+        with pytest.raises(DeuceCapExceeded) as info:
             estimate_metrics(rule_bj(), ServeProfile(1.0, 0.0), cfg)
+        assert str(info.value).startswith("10 of 10 games hit the deuce cycle cap (4);")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -288,17 +295,14 @@ class TestEstimateMetrics:
             {"n_games": 0, "seed": 0},
             {"n_games": 5, "seed": -1},
             {"n_games": 5, "seed": 2**64},
-            {"n_games": 5, "seed": 0, "max_deuce_cycles": 0},
             {"n_games": 5, "seed": 0, "first_game": -1},
             {"n_games": 1, "seed": 0, "first_game": 2**64},
             {"n_games": 2, "seed": 0, "first_game": 2**64 - 1},
             {"n_games": 2.5, "seed": 0},
             {"n_games": 5, "seed": 1.5},
-            {"n_games": 5, "seed": 0, "max_deuce_cycles": 2.5},
             {"n_games": 5, "seed": 0, "first_game": 0.5},
             {"n_games": True, "seed": 1},
             {"n_games": 5, "seed": False},
-            {"n_games": 5, "seed": 0, "max_deuce_cycles": True},
             {"n_games": 5, "seed": 0, "first_game": False},
         ],
     )
@@ -365,9 +369,10 @@ class TestShardedBatches:
             assert len(forks) == 2 * (min(k, n // _SHARD) - 1)  # two calls
         _no_child_left()
 
-    def test_truncation_matches_serial(self, cpus):
+    def test_truncation_matches_serial(self, cpus, monkeypatch):
         sched, prof = rule_bj(1), ServeProfile(1.0, 0.0)
-        cfg = SimConfig(n_games=5 * _SHARD + 3, seed=3, max_deuce_cycles=3)
+        monkeypatch.setattr(simulate, "_MAX_DEUCE_CYCLES", 3)  # forked workers inherit it
+        cfg = SimConfig(n_games=5 * _SHARD + 3, seed=3)
         cpus(1)
         with pytest.raises(DeuceCapExceeded) as serial:
             estimate_metrics(sched, prof, cfg)

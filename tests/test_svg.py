@@ -43,11 +43,11 @@ class TestChart:
         doc, dom = render([("dot", [(0.5, 0.5)])])
         assert len(dom.getElementsByTagName("polyline")) == 1
 
-    def test_custom_size_respected(self):
-        _, dom = render([("s", [(0, 0), (1, 1)])], width=300, height=200)
+    def test_size_is_fixed(self):
+        _, dom = render([("s", [(0, 0), (1, 1)])])
         svg = dom.documentElement
-        assert svg.getAttribute("width") == "300"
-        assert svg.getAttribute("height") == "200"
+        assert (svg.getAttribute("width"), svg.getAttribute("height")) == ("640", "420")
+        assert svg.getAttribute("viewBox") == "0 0 640 420"
 
     def test_empty_input_rejected(self):
         with pytest.raises(RangeError, match="nothing to plot"):

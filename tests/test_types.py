@@ -225,9 +225,10 @@ class TestSharedRules:
          "targets must satisfy 0.5 < low < high < 1, got (0.8, 0.7)"),
         (lambda: invert_p_win_T("0.6"), "target must be a number, got '0.6'"),
         (lambda: invert_p_win_T(1.0), "target must lie in (0, 1), got 1.0"),
+        (lambda: invert_p_win_T(1e-30),
+         "target must be at least p_win_T(1e-06) = 1.5e-23, got 1e-30"),
         (lambda: SimConfig(1.5, 0), "n_games must be an integer, got 1.5"),
         (lambda: SimConfig(0, 0), "n_games must be >= 1, got 0"),
-        (lambda: SimConfig(1, 0, max_deuce_cycles=0), "max_deuce_cycles must be >= 1, got 0"),
         (lambda: SimConfig(1, 2**64), "seed must fit in 64 bits"),
         (lambda: SimConfig(1, 0, first_game=-1), "first_game must be >= 0, got -1"),
         (lambda: SimConfig(2, 0, first_game=2**64 - 1),
@@ -283,7 +284,7 @@ _REFUSERS = [
     (walk_expected_duration, (3, 0.5)),
     (ShapingTargets, (0.6, 0.75)),
     (invert_p_win_T, (0.7,)),
-    (SimConfig, (10, 3, 100, 0)),
+    (SimConfig, (10, 3, 0)),
 ]
 _REFUSER_POSITIONS = [(call, good, i) for call, good in _REFUSERS for i in range(len(good))]
 
@@ -333,7 +334,7 @@ _RECORDS = [
     (ServeSchedule, {"prefix": (), "deuce_cycle": (F, S)}, {}),
     (GameMetrics, {"win_prob": 0.5, "expected_points": 6.75},
      {"bp_prob": None, "expected_bps": None}),
-    (SimConfig, {"n_games": 10, "seed": 3}, {"max_deuce_cycles": 10**6, "first_game": 0}),
+    (SimConfig, {"n_games": 10, "seed": 3}, {"first_game": 0}),
     (MetricEstimate, {"mean": 0.5, "std_err": None}, {}),
     (SimResult, {"win_prob": _EST, "expected_points": _EST, "bp_prob": None,
                  "expected_bps": None, "n_games": 4, "truncated_games": 0}, {}),
