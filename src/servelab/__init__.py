@@ -45,8 +45,8 @@ _SOURCE = {
         ("formulas", "e_bp_A e_bp_C e_bp_T e_points_A e_points_B e_points_Bj "
                      "e_points_C e_points_T p_bp_A p_bp_C p_bp_T p_win_A p_win_B "
                      "p_win_Bj p_win_C p_win_T p_win_T_omalley"),
-        ("shaping", "CompareRow ShapingSolution ShapingTargets compare_table "
-                    "invert_p_win_T recommend_cutoff solve_x"),
+        ("shaping", "CompareRow ShapingSolution compare_table invert_p_win_T "
+                    "recommend_cutoff solve_x"),
         ("simulate", "MetricEstimate SimConfig SimResult SplitMix64 estimate_metrics "
                      "simulate_game substream"),
         ("types", "GameMetrics PointSource RuleKind ServeProfile ServeSchedule "

@@ -82,6 +82,14 @@ def _fmt(v, spec: str = ".6f") -> str:
     return "" if v is None else format(v, spec)
 
 
+def _csv_field(text: str) -> str:
+    """text as one CSV field: quoted, with each inner quote doubled, when
+    it holds a comma or a quote, as parse_stats reads it."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _defined(metrics) -> list:
     """(name, value) for each metric the game defines, in _METRIC_ORDER."""
     return [(n, getattr(metrics, n)) for n in _METRIC_ORDER if getattr(metrics, n) is not None]
@@ -219,7 +227,7 @@ def _cmd_sweep(args) -> None:
     from .engine import metrics_exact
 
     grid = _sweep_grid(args)
-    games = []
+    games = {}
     for name in args.games.split(","):
         name = name.strip()
         try:
@@ -227,7 +235,9 @@ def _cmd_sweep(args) -> None:
         except ValueError:
             choices = ",".join(k.value for k in RuleKind)
             raise _UsageError(f"unknown game {_shown(name)} (choose from {choices})")
-        games.append((kind, schedule_for(kind, x=args.x)))
+        if kind in games:
+            raise _UsageError(f"game {kind.value} is named twice in --games")
+        games[kind] = schedule_for(kind)
     delta = args.delta or 0.0
     two_var = args.var == "p_F"
     lines = ["game,metric,p_f,p_s,value" if two_var else "game,metric,p,value"]
@@ -242,7 +252,7 @@ def _cmd_sweep(args) -> None:
             prof, at = ServeProfile(v, ps), f"{_fmt(v)},{_fmt(ps)}"
         else:
             prof, at = ServeProfile(v, v), _fmt(v)
-        for kind, sched in games:
+        for kind, sched in games.items():
             try:
                 m = metrics_exact(sched, prof)
             except ServelabError as exc:  # singular corner of the grid
@@ -296,7 +306,7 @@ def _cmd_fit(args) -> None:
     ]
     _emit(args, {"rows": rows, "summary": summary._asdict()}, [
         ",".join(rows[0]),
-        *(f"{r['rank']},{r['name']},{_fmt(r['p_emp'])},{_fmt(r['predicted'])},"
+        *(f"{r['rank']},{_csv_field(r['name'])},{_fmt(r['p_emp'])},{_fmt(r['predicted'])},"
           f"{_fmt(r['observed'])},{r['residual']:+.6f}" for r in rows),
         f"# rows {summary.n_rows}",
         f"# max_abs_residual {summary.max_abs_residual:.6f}",
@@ -319,12 +329,12 @@ def _find_player(rows, selector: str):
 
 
 def _cmd_shape(args) -> None:
-    from .shaping import ShapingTargets, recommend_cutoff
+    from .shaping import recommend_cutoff
 
     rows = _stats_rows(args.csv)
     low = _find_player(rows, args.low)
     high = _find_player(rows, args.high)
-    sol = recommend_cutoff(low, high, ShapingTargets(args.p_low, args.p_high))
+    sol = recommend_cutoff(low, high)
     lines = [
         f"p_trad,{_fmt(sol.p_trad)}",
         f"p_exc,{_fmt(sol.p_exc)}",
@@ -394,8 +404,6 @@ def build_parser() -> _Parser:
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--delta", type=float, default=None,
                    help="offset in p_S = 1 - p_F + delta (p_F sweeps)")
-    p.add_argument("--x", type=int, choices=_CUTOFFS, default=3,
-                   help="cutoff when sweeping game C")
     p.add_argument("--out", required=True, help="output CSV path, - for stdout")
     p.add_argument("--svg", default=None, help="optional SVG chart path")
     p.set_defaults(func=_cmd_sweep)
@@ -408,8 +416,6 @@ def build_parser() -> _Parser:
     p.add_argument("csv")
     p.add_argument("--low", required=True, help="weaker player: rank or exact name")
     p.add_argument("--high", required=True, help="stronger player: rank or exact name")
-    p.add_argument("--p-low", type=_prob, default=0.60, dest="p_low")
-    p.add_argument("--p-high", type=_prob, default=0.75, dest="p_high")
     p.set_defaults(func=_cmd_shape)
 
     p = sub.add_parser("compare", help="existing-vs-proposed table for a stats file")

@@ -1,10 +1,11 @@
 """Solve for the single-serve cutoff x and build the existing-vs-proposed
 comparison table.
 
-The idea: pick a target game-win probability band, invert the existing
-game's win curve to find the per-point probabilities that band maps to,
-then ask how many early points may keep the second serve so that a
-player's blended point chance averages out to the target.
+The idea: take the target band for the server's game-win probability,
+fixed at 0.60 to 0.75, invert the existing game's win curve to find the
+per-point probabilities that band maps to, then ask how many early
+points may keep the second serve so that a player's blended point chance
+averages out to the target.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from . import formulas
 from .atp import PlayerStats, p_emp
 from .engine import metrics_exact
 from .errors import ConsistencyError, DegenerateProfile, RangeError
-from .types import RuleKind, ServeProfile, _Record, _is_number, _set, rule_c
+from .types import RuleKind, ServeProfile, _is_number, rule_c
 
 __all__ = [
-    "ShapingTargets",
     "ShapingSolution",
     "CompareRow",
     "invert_p_win_T",
@@ -27,19 +27,7 @@ __all__ = [
     "compare_table",
 ]
 
-
-class ShapingTargets(_Record):
-    """Desired band for the server's game-win probability."""
-
-    __slots__ = _fields = ("p_win_low", "p_win_high")
-
-    def __init__(self, p_win_low: float = 0.60, p_win_high: float = 0.75):
-        _set(self, "p_win_low", p_win_low)
-        _set(self, "p_win_high", p_win_high)
-        if not (_is_number(p_win_low) and _is_number(p_win_high)):
-            raise RangeError("targets must be numbers", (p_win_low, p_win_high))
-        if not (0.5 < p_win_low < p_win_high < 1.0):
-            raise RangeError("targets must satisfy 0.5 < low < high < 1", (p_win_low, p_win_high))
+_P_WIN_LOW, _P_WIN_HIGH = 0.60, 0.75  # target band for the server's game-win chance
 
 
 class ShapingSolution(NamedTuple):
@@ -52,7 +40,8 @@ class ShapingSolution(NamedTuple):
 
 
 def invert_p_win_T(target: float) -> float:
-    """The unique p with p_win_T(p) = target, by bisection to 1e-9.
+    """The unique p with p_win_T(p) = target, by bisection until the
+    bracket is at most 1e-12 wide.
 
     p_win_T is strictly increasing on (0, 1), so plain bisection on
     [1e-6, 1 - 1e-6] suffices.  A target below p_win_T(1e-6), about
@@ -95,28 +84,29 @@ def solve_x(stats: PlayerStats, p_target: float) -> float:
     return (p_target - stats.p_s_won) / denom * formulas.e_points_T(p_target)
 
 
-def recommend_cutoff(
-    low: PlayerStats, high: PlayerStats, targets: ShapingTargets | None = None
-) -> ShapingSolution:
+def recommend_cutoff(low: PlayerStats, high: PlayerStats) -> ShapingSolution:
     """Cutoff recommendation from a weaker and a stronger player.
 
-    The weaker player anchors the low target, the stronger the high
-    one.  Each cutoff is rounded to the nearest integer; when the two
-    disagree, the weaker player's value wins and a warning says so.
+    The weaker player anchors the band's low end, the stronger its high
+    end.  Each cutoff is rounded to the nearest integer; when the two
+    disagree, the weaker player's value wins.  The warning says so, and
+    says when the recommendation lies outside game C's cutoffs 0..6.
     """
-    targets = ShapingTargets() if targets is None else targets
-    p_trad = invert_p_win_T(targets.p_win_low)
-    p_exc = invert_p_win_T(targets.p_win_high)
+    p_trad = invert_p_win_T(_P_WIN_LOW)
+    p_exc = invert_p_win_T(_P_WIN_HIGH)
     x_low = solve_x(low, p_trad)
     x_high = solve_x(high, p_exc)
     r_low = round(x_low)
     r_high = round(x_high)
-    warning = None
+    notes = []
     if r_low != r_high:
-        warning = (
+        notes.append(
             f"rounded cutoffs disagree ({r_low} from {low.name!r}, "
             f"{r_high} from {high.name!r}); recommending the weaker player's {r_low}"
         )
+    if not 0 <= r_low <= 6:
+        notes.append(f"cutoff {r_low} lies outside game C's 0..6")
+    warning = "; ".join(notes) or None
     return ShapingSolution(
         p_trad=p_trad,
         p_exc=p_exc,

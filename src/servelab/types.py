@@ -5,11 +5,11 @@ the rule_* factories return shared ones: the 13 schedules A, Bj(1, 2),
 T, B(1, 2) and C(0..6) are built once, at import, and a call looks its
 schedule up.  One rule sorts the records, here and in the other modules:
 an input, whose __init__ checks the values a caller gives it, derives
-from _Record (ServeProfile, ServeSchedule, simulate.SimConfig and
-shaping.ShapingTargets); an output, such as GameMetrics, is a
-typing.NamedTuple.  A _Record keeps its fields in __slots__, __init__
-writes each one once through object.__setattr__, and any later
-assignment or deletion raises AttributeError.
+from _Record (ServeProfile, ServeSchedule and simulate.SimConfig); an
+output, such as GameMetrics, is a typing.NamedTuple.  A _Record keeps
+its fields in __slots__, __init__ writes each one once through
+object.__setattr__, and any later assignment or deletion raises
+AttributeError.
 
 A schedule's source pattern is fixed when it is built, so ServeSchedule
 builds with it the getters that map a profile's (p_F, p_S) pair to point
@@ -279,7 +279,7 @@ def rule_c(x: int = 3) -> ServeSchedule:
     return _RULE_C[x]
 
 
-def schedule_for(kind: RuleKind, order: int = 1, x: int | None = None) -> ServeSchedule:
+def schedule_for(kind: RuleKind, order: int = 1, x: int = 3) -> ServeSchedule:
     """Canned schedule for a rule kind (order for Bj/B, x for C)."""
     if kind is RuleKind.A:
         return rule_a()
@@ -290,7 +290,7 @@ def schedule_for(kind: RuleKind, order: int = 1, x: int | None = None) -> ServeS
     if kind is RuleKind.B:
         return rule_b(order)
     if kind is RuleKind.C:
-        return rule_c(3 if x is None else x)
+        return rule_c(x)
     raise RangeError(f"unknown rule kind {_shown(kind)}")
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: outputs, formats, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -222,6 +223,18 @@ class TestFit:
         fed = next(l for l in lines if l.startswith("1,"))
         assert fed.split(",")[2] == "0.694000"
 
+    def test_names_with_commas_and_quotes_read_back(self, capsys, tmp_path):
+        f = tmp_path / "quoted.csv"
+        f.write_text(f'{HEADER}\n1,"Federer, R.",0.62,0.77,0.57,0.89\n'
+                     '2,"""Rafa"" N",0.68,0.72,0.57,0.87\n3,plain name,0.6,0.7,0.5,0.8\n',
+                     encoding="utf-8")
+        code, out, err = run(capsys, "fit", str(f))
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO("\n".join(data_lines(out)))))
+        assert {len(r) for r in rows} == {6}
+        assert [r[1] for r in rows[1:]] == ["Federer, R.", '"Rafa" N', "plain name"]
+        assert any(line.startswith("3,plain name,") for line in out.splitlines())
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "fit", SAMPLE, "--json")
         assert code == 0
@@ -340,11 +353,22 @@ class TestShape:
         assert "no player" in err
 
     def test_bad_band(self, capsys):
-        code, _, _ = run(
-            capsys, "shape", SAMPLE, "--low", "200", "--high", "1",
-            "--p-low", "0.75", "--p-high", "0.60",
-        )
-        assert code == 3
+        # the band is fixed at 0.60 to 0.75, so no flag sets it
+        for flag in ("--p-low", "--p-high"):
+            code, out, err = run(capsys, "shape", SAMPLE, "--low", "200", "--high", "1",
+                                 flag, "0.6")
+            assert (code, out) == (2, "")
+            assert f"unrecognized arguments: {flag} 0.6" in err
+
+    def test_cutoff_outside_game_c_is_warned(self, capsys):
+        code, out, err = run(capsys, "shape", SAMPLE, "--low", "1", "--high", "1")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[4:] == [
+            "x_recommended,-2",
+            "# warning: rounded cutoffs disagree (-2 from 'R. Federer', 2 from 'R. Federer'); "
+            "recommending the weaker player's -2; cutoff -2 lies outside game C's 0..6",
+        ]
 
 
 class TestCompare:
@@ -456,6 +480,23 @@ class TestSweep:
     def test_usage_errors(self, capsys, argv):
         code, _, _ = run(capsys, *argv)
         assert code == 2
+
+    def test_repeated_game_is_a_usage_error(self, capsys, tmp_path):
+        out_csv, out_svg = tmp_path / "o.csv", tmp_path / "o.svg"
+        argv = ("sweep", "--games", "A, T,A", "--start", "0.4", "--stop", "0.5",
+                "--step", "0.05")
+        for outputs in (("--out", "-"), ("--out", str(out_csv), "--svg", str(out_svg))):
+            code, out, err = run(capsys, *argv, *outputs)
+            assert (code, out) == (2, "")
+            assert err == "usage error: game A is named twice in --games\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cutoff_is_not_a_flag(self, capsys):
+        # game C is swept at its headline cutoff, x = 3
+        code, out, err = run(capsys, "sweep", "--games", "C", "--start", "0.4",
+                             "--stop", "0.5", "--step", "0.05", "--x", "3", "--out", "-")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --x 3" in err
 
     def test_failed_svg_leaves_no_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "o.csv"
@@ -642,6 +683,26 @@ class TestTopLevel:
         assert code == 0
         assert "eval" in out and "sweep" in out
 
+    def test_options_are_pinned(self):
+        # each subcommand's options, and its positional argument if any;
+        # ROADMAP's settings inventory lists who varies each of them
+        game = {"--game", "--p", "--pf", "--ps", "--x", "--order"}
+        expected = {
+            "eval": game | {"--json"},
+            "sweep": {"--games", "--var", "--start", "--stop", "--step", "--delta",
+                      "--out", "--svg"},
+            "fit": {"csv", "--json"},
+            "shape": {"csv", "--low", "--high", "--json"},
+            "compare": {"csv", "--x", "--json"},
+            "simulate": game | {"--n", "--seed", "--json"},
+        }
+        sub = next(a for a in servelab.cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: {s for a in p._actions for s in a.option_strings or [a.dest]}
+                     - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+        assert got == expected
+
 
 # Number strings for every numeric flag: valid values that keep each run
 # short, plus the non-finite, subnormal, huge and malformed kinds.  No pool
@@ -683,7 +744,7 @@ def _game_flags(game):
 def _argv(csv_paths, out_paths, svg_paths):
     game = st.sampled_from(("A", "Bj", "T", "B", "C", "Z")).flatmap(_game_flags)
     csv = csv_paths.map(lambda p: [p])
-    games = st.sampled_from(("A", "T,Bj", "B,C", "Z", "", "A,,T"))
+    games = st.sampled_from(("A", "T,Bj", "B,C", "Z", "", "A,,T", "C,C"))
     return st.one_of(
         _concat(st.just(["eval"]), game, _json),
         _concat(st.just(["simulate"]), game, _flag("--n", _small_n), _rare("--seed", _num),
@@ -692,13 +753,13 @@ def _argv(csv_paths, out_paths, svg_paths):
                 _rare("--var", st.sampled_from(("p", "p_F", "q"))),
                 _flag("--start", st.sampled_from(("0", "0.3")) | _prob),
                 _flag("--stop", st.sampled_from(("0.6", "1")) | _prob),
-                _flag("--step", _step), _rare("--delta", _prob), _rare("--x", _num),
+                _flag("--step", _step), _rare("--delta", _prob),
                 _flag("--out", out_paths), _rare("--svg", svg_paths)),
         _concat(st.just(["fit"]), csv, _json),
         _concat(st.just(["shape"]), csv,
                 _flag("--low", st.sampled_from(("1", "6", "99", "junk", "nan"))),
                 _flag("--high", st.sampled_from(("1", "2", "99", "junk", "inf"))),
-                _rare("--p-low", _prob), _rare("--p-high", _prob), _json),
+                _json),
         _concat(st.just(["compare"]), csv, _rare("--x", _num), _json),
     )
 

@@ -14,7 +14,7 @@ import servelab
 
 
 def test_names_are_unique():
-    assert len(servelab.__all__) == len(set(servelab.__all__)) == 61
+    assert len(servelab.__all__) == len(set(servelab.__all__)) == 60
 
 
 @pytest.mark.parametrize("name", servelab.__all__)

@@ -5,13 +5,7 @@ import pytest
 from servelab import formulas as fm
 from servelab.atp import PlayerStats, load_sample
 from servelab.errors import ConsistencyError, DegenerateProfile, RangeError
-from servelab.shaping import (
-    ShapingTargets,
-    compare_table,
-    invert_p_win_T,
-    recommend_cutoff,
-    solve_x,
-)
+from servelab.shaping import compare_table, invert_p_win_T, recommend_cutoff, solve_x
 from servelab.types import RuleKind
 
 FEDERER = PlayerStats(1, "R. Federer", 0.62, 0.77, 0.57, 0.88)
@@ -82,23 +76,17 @@ class TestRecommendCutoff:
         assert abs(fm.p_win_T(sol.p_exc) - 0.75) <= 1e-9
 
     def test_agreeing_players_carry_no_warning(self):
-        sol = recommend_cutoff(GABASHVILI, GABASHVILI,
-                               ShapingTargets(0.60, 0.61))
+        rows = {r.rank: r for r in load_sample()}
+        sol = recommend_cutoff(rows[107], rows[1])
+        assert round(sol.x_low) == round(sol.x_high) == 2
         assert sol.warning is None
         assert sol.x_recommended == round(sol.x_low)
 
-    def test_custom_targets_validated(self):
-        with pytest.raises(RangeError):
-            ShapingTargets(0.75, 0.60)
-        with pytest.raises(RangeError):
-            ShapingTargets(0.45, 0.75)
-        with pytest.raises(RangeError):
-            ShapingTargets(0.60, 1.0)
-
-    @pytest.mark.parametrize("low,high", [("0.6", 0.7), (0.6, "0.7"), (None, 0.7)])
-    def test_targets_must_be_numbers(self, low, high):
-        with pytest.raises(RangeError, match="must be numbers"):
-            ShapingTargets(low, high)
+    def test_agreeing_cutoffs_outside_game_c_still_warn(self):
+        big_server = PlayerStats(9, "big server", 1.0, 0.75, 0.64, 0.9)
+        sol = recommend_cutoff(FEDERER, big_server)
+        assert round(sol.x_low) == round(sol.x_high) == sol.x_recommended == -2
+        assert sol.warning == "cutoff -2 lies outside game C's 0..6"
 
 
 class TestCompareTable:

@@ -8,7 +8,7 @@ import pytest
 from servelab.atp import FitRow, FitSummary, PlayerStats
 from servelab.engine import deuce_closure, walk_expected_duration
 from servelab.errors import RangeError, ServelabError
-from servelab.shaping import CompareRow, ShapingSolution, ShapingTargets, invert_p_win_T
+from servelab.shaping import CompareRow, ShapingSolution, invert_p_win_T
 from servelab.simulate import MetricEstimate, SimConfig, SimResult
 from servelab.types import (
     GameMetrics,
@@ -220,9 +220,6 @@ class TestSharedRules:
         (lambda: walk_expected_duration(10_001, 0.5), "n capped at 10000, got 10001"),
         (lambda: walk_expected_duration(2, None), "p must be a number, got None"),
         (lambda: walk_expected_duration(2, 1.0), "p must lie in (0, 1), got 1.0"),
-        (lambda: ShapingTargets("0.6", 0.7), "targets must be numbers, got ('0.6', 0.7)"),
-        (lambda: ShapingTargets(0.8, 0.7),
-         "targets must satisfy 0.5 < low < high < 1, got (0.8, 0.7)"),
         (lambda: invert_p_win_T("0.6"), "target must be a number, got '0.6'"),
         (lambda: invert_p_win_T(1.0), "target must lie in (0, 1), got 1.0"),
         (lambda: invert_p_win_T(1e-30),
@@ -282,7 +279,6 @@ _REFUSERS = [
     (schedule_for, (RuleKind.C, 1, 3)),
     (deuce_closure, ((0.6, 0.4),)),
     (walk_expected_duration, (3, 0.5)),
-    (ShapingTargets, (0.6, 0.75)),
     (invert_p_win_T, (0.7,)),
     (SimConfig, (10, 3, 0)),
 ]
@@ -317,7 +313,7 @@ class TestRecordRule:
 
     def test_only_checked_inputs_are_records(self):
         assert {cls.__name__ for cls in _Record.__subclasses__()} == {
-            "ServeProfile", "ServeSchedule", "SimConfig", "ShapingTargets"}
+            "ServeProfile", "ServeSchedule", "SimConfig"}
 
     def test_game_metrics_is_a_named_tuple(self):
         m = GameMetrics(0.5, 6.75)
@@ -343,7 +339,6 @@ _RECORDS = [
     (FitRow, {"stats": _STATS, "p_emp": 0.66, "predicted": 0.8, "residual": 0.0}, {}),
     (FitSummary, {"max_abs_residual": 0.1, "mean_residual": -0.01,
                   "nonpositive_count": 1, "n_rows": 2}, {}),
-    (ShapingTargets, {}, {"p_win_low": 0.60, "p_win_high": 0.75}),
     (ShapingSolution, {"p_trad": 0.5, "p_exc": 0.6, "x_low": 2.5, "x_high": 3.5,
                        "x_recommended": 2}, {"warning": None}),
     (CompareRow, dict(zip(("rank", "p_emp", "p_s_won", "p_t", "p_c", "p_t_br", "p_c_br",
