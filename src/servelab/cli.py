@@ -18,15 +18,15 @@ import warnings
 # Each command imports the modules it runs, so that a process compiles
 # and loads only those; without a bytecode cache that is most of start-up.
 from . import mc_backend
-from .errors import ConsistencyError, RangeError, ServelabError, _int_text, _shown
-from .types import RuleKind, ServeProfile, ServeSchedule, schedule_for
+from .errors import ConsistencyError, RangeError, ServelabError, _clipped, _int_text, _shown
+from .types import CUTOFFS, ORDERS, RuleKind, ServeProfile, ServeSchedule, schedule_for
 
 __all__ = ["main", "entrypoint"]
 
 _METRIC_ORDER = ("win_prob", "bp_prob", "expected_points", "expected_bps")
-_CUTOFFS = range(7)  # game C's single-serve cutoff x
 _MAX_SWEEP_POINTS = 100_001  # step 1e-5 over [0, 1]
 _MAX_SIM_GAMES = 10**8  # a few minutes of simulate at ~1M games/s on two CPUs
+_MESSAGE_MAX = 250  # longest refusal printed whole
 
 
 class _UsageError(Exception):
@@ -42,40 +42,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _prob(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {_shown(text)}")
-    if not (0.0 <= v <= 1.0):
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {v}")
-    return v
+def _within(parse, lo, hi):
+    """The argparse type of a numeric flag, which states its range where it
+    is declared: text read by parse (float, or errors._int_text for a
+    decimal integer) and refused outside [lo, hi]."""
+    noun = "a number" if parse is float else "an integer"
+
+    def check(text: str):
+        try:
+            v = parse(text)
+        except RangeError as exc:  # a well-formed integer too long for int()
+            raise argparse.ArgumentTypeError(str(exc))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {_shown(text)}")
+        if not lo <= v <= hi:
+            raise argparse.ArgumentTypeError(f"must lie in [{lo}, {hi}], got {v}")
+        return v
+
+    return check
 
 
-def _int(text: str, base: int) -> int:
-    """int(text, base), or a usage error (see errors._int_text)."""
-    try:
-        return _int_text(text, base)
-    except RangeError as exc:  # well-formed, but too long for int()
-        raise argparse.ArgumentTypeError(str(exc))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}")
-
-
-def _n_games(text: str) -> int:
-    v = _int(text, 10)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    if v > _MAX_SIM_GAMES:
-        raise argparse.ArgumentTypeError(f"must be <= {_MAX_SIM_GAMES}, got {v}")
-    return v
-
-
-def _seed(text: str) -> int:
-    v = _int(text, 0)
-    if not (0 <= v < 2**64):
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return v
+_prob = _within(float, 0, 1)
+_cutoff = _within(_int_text, CUTOFFS[0], CUTOFFS[-1])
+_CUTOFF_HELP = f"single-serve cutoff for game C, {CUTOFFS[0]}..{CUTOFFS[-1]} (default 3)"
 
 
 def _fmt(v, spec: str = ".6f") -> str:
@@ -152,10 +141,9 @@ def _add_game_flags(p: argparse.ArgumentParser):
     p.add_argument("--p", type=_prob, help="per-point chance for A/T games")
     p.add_argument("--pf", type=_prob, help="full-serve chance for Bj/B/C games")
     p.add_argument("--ps", type=_prob, help="single-serve / receiving chance")
-    p.add_argument("--x", type=int, choices=_CUTOFFS, default=None,
-                   help="single-serve cutoff for game C (default 3)")
-    p.add_argument("--order", type=int, choices=(1, 2), default=None,
-                   help="serve order variant for Bj/B (default 1)")
+    p.add_argument("--x", type=_cutoff, default=None, help=_CUTOFF_HELP)
+    p.add_argument("--order", type=_within(_int_text, ORDERS[0], ORDERS[-1]), default=None,
+                   help=f"serve order variant for Bj/B, {ORDERS[0]} or {ORDERS[-1]} (default 1)")
 
 
 def _resolve_game(args) -> tuple[RuleKind, ServeProfile, int, ServeSchedule]:
@@ -218,8 +206,6 @@ def _sweep_grid(args) -> list[float]:
     steps = (stop - start) / step + 1e-9
     if not steps < _MAX_SWEEP_POINTS:
         raise _UsageError(f"step {step} gives more than {_MAX_SWEEP_POINTS} grid points")
-    if delta is not None and not (0.0 <= delta <= 0.5):
-        raise _UsageError(f"delta must lie in [0, 0.5], got {delta}")
     return [min(start + i * step, stop) for i in range(int(steps) + 1)]
 
 
@@ -401,8 +387,8 @@ def build_parser() -> _Parser:
     p.add_argument("--var", choices=("p", "p_F"), default="p")
     p.add_argument("--start", type=_prob, required=True)
     p.add_argument("--stop", type=_prob, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--step", type=_prob, required=True)
+    p.add_argument("--delta", type=_within(float, 0, 0.5), default=None,
                    help="offset in p_S = 1 - p_F + delta (p_F sweeps)")
     p.add_argument("--out", required=True, help="output CSV path, - for stdout")
     p.add_argument("--svg", default=None, help="optional SVG chart path")
@@ -420,14 +406,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="existing-vs-proposed table for a stats file")
     p.add_argument("csv")
-    p.add_argument("--x", type=int, choices=_CUTOFFS, default=3)
+    p.add_argument("--x", type=_cutoff, default=3, help=_CUTOFF_HELP)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("simulate", help="Monte Carlo check against the engine")
     _add_game_flags(p)
-    p.add_argument("--n", type=_n_games, default=10_000,
+    p.add_argument("--n", type=_within(_int_text, 1, _MAX_SIM_GAMES), default=10_000,
                    help=f"games to play, at most {_MAX_SIM_GAMES}")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_within(_int_text, 0, 2**64 - 1), default=0)
     p.set_defaults(func=_cmd_simulate)
 
     for name, p in sub.choices.items():
@@ -442,7 +428,9 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; the exit code says how it ended (0, 2, 3 or 4)."""
+    """Run one subcommand; the exit code says how it ended (0, 2, 3 or 4).
+    A refusal is one line on stderr, its message cut to its ends and its
+    length when longer than _MESSAGE_MAX characters."""
     try:
         args = build_parser().parse_args(argv)
         if getattr(args, "func", None) is None:
@@ -455,8 +443,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else int(exc.code)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        code, prefix, message = 2, "usage error", str(exc)
     except _StdoutClosed:
         # the reader ended the read on purpose; point stdout at the null
         # device so that the interpreter's last flush cannot fail again
@@ -465,12 +452,13 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 0
     except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ServelabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    return 0
+        code, prefix, message = 4, "error", str(exc)
+    except (ServelabError, OSError) as exc:  # an OSError may name a path of any length
+        code, prefix, message = 3, "error", str(exc)
+    else:
+        return 0
+    print(f"{prefix}: {_clipped(message, _MESSAGE_MAX, 'message')}", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

@@ -8,6 +8,15 @@ class ServelabError(Exception):
 _SHOWN_MAX = 200  # longest repr shown whole
 
 
+def _clipped(text: str, limit: int, noun: str) -> str:
+    """text, or, when it is longer than limit, its first and last limit // 4
+    characters and its length: "ab...yz (a <noun> of 50002 characters)"."""
+    if len(text) <= limit:
+        return text
+    edge = limit // 4
+    return f"{text[:edge]}...{text[-edge:]} (a {noun} of {len(text)} characters)"
+
+
 def _shown(value) -> str:
     """repr(value), or the value's type where repr raises ValueError.  A repr
     longer than _SHOWN_MAX is shown by its ends and its length."""
@@ -15,10 +24,7 @@ def _shown(value) -> str:
         text = repr(value)
     except ValueError:  # an int past sys.get_int_max_str_digits(), or a tuple holding one
         return f"<{value.__class__.__name__} too long to print>"
-    if len(text) <= _SHOWN_MAX:
-        return text
-    edge = _SHOWN_MAX // 4
-    return f"{text[:edge]}...{text[-edge:]} (a repr of {len(text)} characters)"
+    return _clipped(text, _SHOWN_MAX, "repr")
 
 
 class RangeError(ServelabError):
@@ -29,17 +35,16 @@ class RangeError(ServelabError):
         super().__init__(f"{message}, got {_shown(*value)}" if value else message)
 
 
-def _int_text(text: str, base: int = 10) -> int:
-    """int(text, base), but a well-formed decimal integer that int() refuses
+def _int_text(text: str) -> int:
+    """int(text), a decimal integer, but a well-formed one that int() refuses
     only for its length raises RangeError naming its digit count."""
     try:
-        return int(text, base)
+        return int(text)
     except ValueError:
         body = text.strip()
         groups = (body[1:] if body.startswith(("+", "-")) else body).split("_")
-        digits = "".join(groups)
-        # base 0 takes a leading 0 only in 0 itself
-        if all(g.isdecimal() for g in groups) and (base or digits.lstrip("0") in ("", digits)):
+        if all(g.isdecimal() for g in groups):
+            digits = "".join(groups)
             raise RangeError(f"out of range: an integer of {len(digits)} digits") from None
         raise
 

@@ -16,7 +16,7 @@ from . import formulas
 from .atp import PlayerStats, p_emp
 from .engine import metrics_exact
 from .errors import ConsistencyError, DegenerateProfile, RangeError
-from .types import RuleKind, ServeProfile, _is_number, rule_c
+from .types import CUTOFFS, RuleKind, ServeProfile, _is_number, rule_c
 
 __all__ = [
     "ShapingSolution",
@@ -104,8 +104,8 @@ def recommend_cutoff(low: PlayerStats, high: PlayerStats) -> ShapingSolution:
             f"rounded cutoffs disagree ({r_low} from {low.name!r}, "
             f"{r_high} from {high.name!r}); recommending the weaker player's {r_low}"
         )
-    if not 0 <= r_low <= 6:
-        notes.append(f"cutoff {r_low} lies outside game C's 0..6")
+    if r_low not in CUTOFFS:
+        notes.append(f"cutoff {r_low} lies outside game C's {CUTOFFS[0]}..{CUTOFFS[-1]}")
     warning = "; ".join(notes) or None
     return ShapingSolution(
         p_trad=p_trad,

@@ -15,7 +15,9 @@ A schedule's source pattern is fixed when it is built, so ServeSchedule
 builds with it the getters that map a profile's (p_F, p_S) pair to point
 chances; a call reads its chances through them and tests no source.
 A ServeProfile is checked once, in its __init__, and the engine reads it
-without a second check.
+without a second check.  ORDERS and CUTOFFS name the serve orders of Bj
+and B and game C's cutoffs once, for the factories, the command line and
+the shaping warning.
 """
 
 from __future__ import annotations
@@ -215,19 +217,22 @@ _G = PointSource.F_SINGLE
 _S = PointSource.S_SERVE
 
 
+ORDERS = range(1, 3)  # the serve orders of games Bj and B
+CUTOFFS = range(7)  # game C's cutoffs x: two serve attempts on the first x points
+
 _RULE_A = ServeSchedule(prefix=(), deuce_cycle=(_F,))
-_RULE_BJ = {
-    1: ServeSchedule(prefix=(), deuce_cycle=(_F, _S)),
-    2: ServeSchedule(prefix=(), deuce_cycle=(_S, _F)),
-}
+_RULE_BJ = dict(zip(ORDERS, (
+    ServeSchedule(prefix=(), deuce_cycle=(_F, _S)),
+    ServeSchedule(prefix=(), deuce_cycle=(_S, _F)),
+)))
 _RULE_T = ServeSchedule(prefix=(_F,) * 6, deuce_cycle=(_F,))
-_RULE_B = {
-    1: ServeSchedule(prefix=(_F, _S, _F, _S, _F, _S), deuce_cycle=(_F, _S)),
-    2: ServeSchedule(prefix=(_F, _S, _S, _F, _F, _S), deuce_cycle=(_S, _F)),
-}
+_RULE_B = dict(zip(ORDERS, (
+    ServeSchedule(prefix=(_F, _S, _F, _S, _F, _S), deuce_cycle=(_F, _S)),
+    ServeSchedule(prefix=(_F, _S, _S, _F, _F, _S), deuce_cycle=(_S, _F)),
+)))
 _RULE_C = {
     x: ServeSchedule(prefix=(_F,) * x + (_G,) * (6 - x), deuce_cycle=(_G,))
-    for x in range(7)
+    for x in CUTOFFS
 }
 # The factories look their value up by key, so any number equal to a key
 # selects it, as it did when they built the schedule: rule_bj(1.0) is
@@ -245,8 +250,8 @@ def rule_bj(order: int = 1) -> ServeSchedule:
     order=1 starts with F's serve, order=2 with S's; both give the same
     metrics.
     """
-    if order not in (1, 2):
-        raise RangeError("order must be 1 or 2", order)
+    if order not in ORDERS:
+        raise RangeError(f"order must be {ORDERS[0]} or {ORDERS[-1]}", order)
     return _RULE_BJ[order]
 
 
@@ -263,8 +268,8 @@ def rule_b(order: int = 1) -> ServeSchedule:
     way tie-break service order works; the two orders give identical
     metrics.
     """
-    if order not in (1, 2):
-        raise RangeError("order must be 1 or 2", order)
+    if order not in ORDERS:
+        raise RangeError(f"order must be {ORDERS[0]} or {ORDERS[-1]}", order)
     return _RULE_B[order]
 
 
@@ -274,8 +279,8 @@ def rule_c(x: int = 3) -> ServeSchedule:
     From point x+1 on, F still serves but a first-serve fault loses the
     point, so those points resolve at p_S.  The headline proposal is x=3.
     """
-    if not isinstance(x, int) or not (0 <= x <= 6):
-        raise RangeError("x must be an integer in 0..6", x)
+    if not isinstance(x, int) or x not in CUTOFFS:
+        raise RangeError(f"x must be an integer in {CUTOFFS[0]}..{CUTOFFS[-1]}", x)
     return _RULE_C[x]
 
 

@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -209,7 +210,7 @@ class TestSimulate:
         assert (code, err) == (3, "error: estimate_metrics ran 100000000 games\n")
         code, out, err = run(capsys, *argv, str(10**8 + 1))
         assert (code, out) == (2, "")
-        assert "must be <= 100000000, got 100000001" in err
+        assert "must lie in [1, 100000000], got 100000001" in err
 
 
 class TestFit:
@@ -797,9 +798,10 @@ class TestHugeIntegers:
         assert f"argument {flag}: out of range: an integer of {digits} digits" in err
 
 
-def _ends(head: str, tail: str, length: int) -> str:
-    """How a refusal shows a value whose repr is longer than 200 characters."""
-    return f"{head}...{tail} (a repr of {length} characters)"
+def _ends(head: str, tail: str, length: int, noun: str = "repr") -> str:
+    """How a refusal shows a value whose repr is longer than 200 characters,
+    or main a message longer than 250."""
+    return f"{head}...{tail} (a {noun} of {length} characters)"
 
 
 class TestLongValues:
@@ -835,8 +837,13 @@ class TestLongValues:
         (["compare", "STATS"], f"{HEADER}\n1,X,{'p' * 6000},0.7,0.5,0.8", 3,
          "error: line 2: p_f_in must be a decimal, got "
          + _ends("'" + "p" * 49, "p" * 49 + "'", 6002)),
+        # argparse words this one, with the whole value in it
+        (["eval", "--game", "G" * 1000, "--p", "0.5"], None, 2,
+         "usage error: " + _ends("argument --game: invalid choice: '" + "G" * 28,
+                                 "G" * 22 + "' (choose from 'A', 'Bj', 'T', 'B', 'C')",
+                                 1074, "message")),
     ], ids=["simulate --seed", "eval --p", "sweep --games", "shape --low", "header",
-            "huge rank", "long rank", "long negative rank", "long rate"])
+            "huge rank", "long rank", "long negative rank", "long rate", "long message"])
     def test_message_is_short(self, capsys, tmp_path, argv, stats, code, message):
         if stats is not None:
             path = tmp_path / "stats.csv"
@@ -856,6 +863,133 @@ class TestLongValues:
         assert code == 0
         assert err == ("warning: duplicate rank " + _ends("9" * 50, "9" * 50, 4000)
                        + " in stats table (line 3)\n")
+
+
+def _subparsers() -> dict:
+    sub = next(a for a in servelab.cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+# a valid argv for each subcommand, its positional first
+_VALID = {
+    "eval": ["--game", "C", "--pf", "0.7", "--ps", "0.5"],
+    "simulate": ["--game", "T", "--p", "0.5", "--n", "10"],
+    "sweep": ["--games", "A", "--start", "0.3", "--stop", "0.4", "--step", "0.1", "--out", "-"],
+    "fit": [SAMPLE],
+    "shape": [SAMPLE, "--low", "200", "--high", "1"],
+    "compare": [SAMPLE],
+}
+_JUNK = "z" * 50_000
+
+
+def _one_long_value():
+    """(id, argv): the valid argv of a subcommand with one argument's value
+    replaced by (or, for an absent option, given) _JUNK, for every argument
+    of every subcommand, and _JUNK as the subcommand name."""
+    yield "command", [_JUNK]
+    for name, parser in _subparsers().items():
+        base = _VALID[name]
+        for action in parser._actions:
+            if action.nargs == 0:  # --help, --json
+                continue
+            if not action.option_strings:
+                yield f"{name} {action.dest}", [name, _JUNK, *base[1:]]
+                continue
+            flag = action.option_strings[0]
+            if flag in base:
+                at = base.index(flag) + 1
+                yield f"{name} {flag}", [name, *base[:at], _JUNK, *base[at + 1:]]
+            else:
+                yield f"{name} {flag}", [name, *base, flag, _JUNK]
+
+
+class TestEveryArgument:
+    """Each argument of each subcommand refuses a 50,000-character value in
+    a short message, whoever words it: servelab, argparse or the OS."""
+
+    @pytest.mark.parametrize("argv", [pytest.param(argv, id=i) for i, argv in _one_long_value()])
+    def test_long_value_is_refused_briefly(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code in (2, 3) and out == ""
+        assert err.startswith(("usage error: ", "error: ")) and err.endswith("\n")
+        assert len(err.encode()) < 300, err[:300]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_valid_argv_runs(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, base in _VALID.items():
+            assert run(capsys, name, *base)[0] == 0, name
+
+
+# every numeric flag: (subcommand, flag, lo, hi)
+_NUMERIC_FLAGS = [
+    ("eval", "--p", 0, 1), ("eval", "--pf", 0, 1), ("eval", "--ps", 0, 1),
+    ("eval", "--x", 0, 6), ("eval", "--order", 1, 2),
+    ("simulate", "--p", 0, 1), ("simulate", "--pf", 0, 1), ("simulate", "--ps", 0, 1),
+    ("simulate", "--x", 0, 6), ("simulate", "--order", 1, 2),
+    ("simulate", "--n", 1, 10**8), ("simulate", "--seed", 0, 2**64 - 1),
+    ("sweep", "--start", 0, 1), ("sweep", "--stop", 0, 1), ("sweep", "--step", 0, 1),
+    ("sweep", "--delta", 0, 0.5),
+    ("compare", "--x", 0, 6),
+]
+_INTEGER_FLAGS = {"--x", "--order", "--n", "--seed"}
+# what each subcommand's parser requires besides the flag under test
+_REQUIRED = {
+    "eval": ["--game", "T"],
+    "simulate": ["--game", "T"],
+    "sweep": ["--games", "A", "--start", "0", "--stop", "1", "--step", "0.5", "--out", "-"],
+    "compare": [SAMPLE],
+}
+
+
+class TestNumericFlags:
+    """Each numeric flag's range, read by argparse alone, so that a valid
+    --n 100000000 plays nothing."""
+
+    def test_table_lists_every_numeric_flag(self):
+        typed = {(name, a.option_strings[0]) for name, p in _subparsers().items()
+                 for a in p._actions if a.type is not None}
+        assert typed == {(name, flag) for name, flag, _, _ in _NUMERIC_FLAGS}
+        assert len(_NUMERIC_FLAGS) == 17
+
+    @staticmethod
+    def _refusal(capsys, name, flag, text):
+        code, out, err = run(capsys, name, *_REQUIRED[name], f"{flag}={text}")
+        assert (code, out) == (2, "")
+        return err
+
+    @pytest.mark.parametrize("name,flag,lo,hi", _NUMERIC_FLAGS)
+    def test_range(self, capsys, name, flag, lo, hi):
+        parser = servelab.cli.build_parser()
+        dest = flag.lstrip("-")
+        for v in (lo, hi):
+            args = parser.parse_args([name, *_REQUIRED[name], f"{flag}={v}"])
+            assert getattr(args, dest) == v
+        integer = flag in _INTEGER_FLAGS
+        outside = (lo - 1, hi + 1) if integer else (math.nextafter(lo, -math.inf),
+                                                     math.nextafter(hi, math.inf))
+        for v in outside:
+            err = self._refusal(capsys, name, flag, repr(v))
+            assert err == f"usage error: argument {flag}: must lie in [{lo}, {hi}], got {v}\n"
+        for text in ("nan", "inf"):
+            err = self._refusal(capsys, name, flag, text)
+            expected = (f"not an integer: {text!r}" if integer
+                        else f"must lie in [{lo}, {hi}], got {text}")
+            assert err == f"usage error: argument {flag}: {expected}\n"
+        if integer:
+            err = self._refusal(capsys, name, flag, "1.5")
+            assert err == f"usage error: argument {flag}: not an integer: '1.5'\n"
+
+    def test_seed_is_decimal(self, capsys):
+        parser = servelab.cli.build_parser()
+        argv = ["simulate", "--game", "T", "--seed"]
+        assert parser.parse_args([*argv, "010"]).seed == 10
+        assert parser.parse_args([*argv, "1_000"]).seed == 1000
+        for text in ("0x10", "0o7", "0b1"):
+            err = self._refusal(capsys, "simulate", "--seed", text)
+            assert err == f"usage error: argument --seed: not an integer: {text!r}\n"
 
 
 # tokens a damaged or hand-edited stats file may hold
