@@ -25,7 +25,11 @@ __all__ = ["main", "entrypoint"]
 
 _METRIC_ORDER = ("win_prob", "bp_prob", "expected_points", "expected_bps")
 _MAX_SWEEP_POINTS = 100_001  # step 1e-5 over [0, 1]
-_MAX_SIM_GAMES = 10**8  # a few minutes of simulate at ~1M games/s on two CPUs
+_MAX_SIM_GAMES = 10**8  # about 1.5 minutes of simulate at 1.0-1.2M games/s on two CPUs
+# draws simulate may expect to make (--n times the expected points per game):
+# 2-3 minutes at the 6-8M draws/s two CPUs play, and above every --n for a
+# game of at most 10 expected points (6.75 at p = 0.5)
+_MAX_SIM_DRAWS = 10**9
 _MESSAGE_MAX = 250  # longest refusal printed whole
 
 
@@ -352,6 +356,10 @@ def _cmd_simulate(args) -> None:
     kind, prof, _, sched = _resolve_game(args)
     cfg = SimConfig(n_games=args.n, seed=args.seed)
     m = metrics_exact(sched, prof)  # a singular profile fails here, before any draw
+    draws = args.n * m.expected_points
+    if not draws <= _MAX_SIM_DRAWS:  # and a near-singular one (or NaN) here
+        raise RangeError(f"--n {args.n} at {m.expected_points:.4g} expected points a game "
+                         f"needs about {draws:.3g} draws, over the budget of {_MAX_SIM_DRAWS:,}")
     res = estimate_metrics(sched, prof, cfg)
     rows = []
     for name, est in _defined(res):

@@ -29,18 +29,31 @@ estimate_metrics shards a batch over processes when each of two or more
 usable CPUs would get at least _SHARD_MIN games, the platform has fork
 and no other Python thread is running (fork is unsafe with threads).  The
 batch is cut into contiguous game-index ranges: this process plays the
-first with run_batch, and a forked child plays each other range with the
-same run_batch and writes its 7 integer sums to a pipe.  Since the games
-of a range draw only from their own substreams, and the sums are added
-as integers, the totals are those of one serial run_batch, bit for bit.
-A range whose child could not be forked, or failed, is played here, and
-every child is reaped before the call returns or raises.  Smaller
-batches run serially, since forking and reaping a child costs about as
-much as playing 2,048 games (see _SHARD_MIN).
+first with run_batch, and a worker process plays each other range with
+the same run_batch and sends back its 7 integer sums.  Since the games of
+a range draw only from their own substreams, and the sums are added as
+integers, the totals are those of one serial run_batch, bit for bit.
+Smaller batches run serially (see _SHARD_MIN).
+
+The workers belong to the process.  The first sharded call forks one per
+extra usable CPU, and each then serves requests on a pipe until the
+process exits, when atexit kills and reaps it.  A request, encoded with
+marshal, carries every argument of run_batch, the deuce cap included, so
+no module state a worker copied at its fork is read.  A range whose
+worker is dead, or replies with anything but 7 integers, is played here,
+and that worker is reaped and dropped; the next sharded call forks a new
+one.  If the call raises, every worker whose reply is unread is killed
+and reaped, so no reply is ever read as the answer to a later request.
+Every forked child, a new worker or a fork of the caller's own, closes
+the inherited pipes of the parent's workers and starts with none.  An
+idle worker keeps the pages it shares copy-on-write with this process
+for as long as the process lives.
 """
 
 from __future__ import annotations
 
+import atexit
+import marshal
 import os
 import signal
 import threading
@@ -63,11 +76,22 @@ __all__ = [
     "mc_backend",
 ]
 
-# fewest games per process.  On a 2-vCPU Linux machine a fork, the child's
-# start and the reap cost about as much kernel time as 2,048 games (two
-# shards of 2,048 games ran no faster than one batch of 4,096); at twice
-# that, two shards of 4,096 ran 1.3x faster than one batch of 8,192.
-_SHARD_MIN = 4096
+# fewest games per process.  On a 2-vCPU Linux machine, with the worker
+# already forked, two shards of 512 games each ran 1.36-1.73x faster than
+# one batch of 1,024 (medians over 14 interleaved pairs, T at p = 0.9 and
+# C(3) at (0.696, 0.55)), two of 1,024 1.59-1.73x faster than one of
+# 2,048, and two of 2,048 1.68-1.82x faster than one of 4,096.  At 1,024
+# the 2,000-game batches of a short `servelab simulate` stay serial and
+# fork nothing.
+_SHARD_MIN = 1024
+
+# the workers that play a sharded batch's second, third, ... ranges, in
+# that order: (pid, request pipe's write end, reply pipe's read end)
+_workers: list[tuple[int, int, int]] = []
+
+# bytes a pipe write delivers whole (POSIX's least PIPE_BUF); every
+# request and reply is far shorter
+_PIPE_BUF = 512
 
 # deuce cycles after which a game still tied raises DeuceCapExceeded; only
 # a pathological profile such as (1, 0) gets near it
@@ -160,11 +184,14 @@ def estimate_metrics(
     raises DeuceCapExceeded if any game hits the deuce cycle cap.
     """
     count_bp = sched.all_f_served
+    # plain ints and floats (as run_batch reads them), since marshal, which
+    # carries a request to a worker, takes no subclass of either
     wins, bp_games, pts, pts_sq, bps, bps_sq, truncated = _batch_sums(
-        cfg.seed,
+        int(cfg.seed),
         cfg.first_game,
         cfg.n_games,
-        (sched.prefix_probs(prof), sched.cycle_probs(prof), count_bp, _MAX_DEUCE_CYCLES),
+        (tuple(map(float, sched.prefix_probs(prof))),
+         tuple(map(float, sched.cycle_probs(prof))), count_bp, _MAX_DEUCE_CYCLES),
     )
     if truncated:
         raise DeuceCapExceeded(
@@ -204,50 +231,110 @@ def _batch_sums(seed: int, first_game: int, n_games: int, args: tuple) -> tuple:
     shards = _shard_count(n_games)
     cuts = [first_game + n_games * j // shards for j in range(shards + 1)]
     ranges = list(zip(cuts[1:], cuts[2:]))  # every range but the first
-    workers = []  # (pid, read end of its pipe) for the first ranges, in order
+    while len(_workers) < len(ranges):
+        try:
+            _workers.append(_fork_worker())
+        except OSError:  # no pipe or process to be had: play the rest here
+            break
+    unread = {}  # first game of a range -> the worker playing it
     try:
-        for lo, hi in ranges:
+        for worker, (lo, hi) in zip(list(_workers), ranges):
+            unread[lo] = worker  # before the write, so that no interrupt hides it
             try:
-                workers.append(_fork_shard(seed, lo, hi - lo, args))
-            except OSError:  # no pipe or process to be had: play the rest here
-                break
+                os.write(worker[1], marshal.dumps((seed, lo, hi - lo, args)))
+            except OSError:  # the worker is dead
+                del unread[lo]
+                _drop(worker)
         totals = run_batch(seed, first_game, cuts[1] - first_game, *args)
-        for j, (lo, hi) in enumerate(ranges):
-            out = workers[j][1].read().split() if j < len(workers) else []
-            if len(out) == 7 and all(v.isdigit() for v in out):
-                sums = map(int, out)
-            else:  # no worker played these games, or it failed: play them here
+        for lo, hi in ranges:
+            sums = _reply(unread[lo]) if lo in unread else None
+            unread.pop(lo, None)
+            if sums is None:  # no worker played these games, or it failed: play them here
                 sums = run_batch(seed, lo, hi - lo, *args)
             totals = [a + b for a, b in zip(totals, sums)]
     finally:
-        # a worker whose pipe was read to its end has exited; kill the rest
-        for pid, pipe in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
+        # a reply left unread would answer the worker's next request
+        for worker in unread.values():
+            _drop(worker)
     return tuple(totals)
 
 
-def _fork_shard(seed: int, first_game: int, n_games: int, args: tuple) -> tuple:
-    """Fork a child that writes run_batch's sums for its games to a pipe
-    and exits; return (its pid, the pipe's read end as a binary file)."""
-    fd, wfd = os.pipe()
+def _fork_worker() -> tuple:
+    """Fork a worker that plays each request on its pipe until the pipe
+    closes; return (its pid, the request pipe's write end, the reply
+    pipe's read end)."""
+    fds = []
     try:
+        fds += os.pipe()
+        fds += os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(fd)
-        os.close(wfd)
+        for fd in fds:
+            os.close(fd)
         raise
+    requests, to_worker, from_worker, replies = fds
     if pid == 0:
-        # the child leaves only through os._exit: no stdio flush, no atexit
+        # the worker leaves only through os._exit: no stdio flush, no atexit
         code = 1
         try:
-            os.close(fd)
-            sums = run_batch(seed, first_game, n_games, *args)
-            # under PIPE_BUF bytes, so the pipe takes all of it or none
-            os.write(wfd, " ".join(map(str, sums)).encode())
+            os.close(to_worker)
+            os.close(from_worker)
+            while request := os.read(requests, _PIPE_BUF):
+                seed, first_game, n_games, args = marshal.loads(request)
+                os.write(replies, marshal.dumps(run_batch(seed, first_game, n_games, *args)))
             code = 0
         finally:
             os._exit(code)
-    os.close(wfd)
-    return pid, open(fd, "rb")
+    os.close(requests)
+    os.close(replies)
+    return pid, to_worker, from_worker
+
+
+def _reply(worker: tuple) -> tuple | None:
+    """The 7 sums worker sends back; None, with the worker dropped, if it
+    died or sent anything else."""
+    try:
+        sums = marshal.loads(os.read(worker[2], _PIPE_BUF))
+    except (OSError, EOFError, ValueError, TypeError):
+        sums = None
+    if type(sums) is tuple and len(sums) == 7 and all(type(v) is int for v in sums):
+        return sums
+    _drop(worker)
+    return None
+
+
+def _drop(worker: tuple) -> None:
+    """Kill and reap worker and close its pipes; the next sharded call
+    forks a new worker in its place."""
+    if worker not in _workers:
+        return
+    _workers.remove(worker)
+    pid, to_worker, from_worker = worker
+    try:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    except OSError:  # already reaped by a caller that waits for any child
+        pass
+    os.close(to_worker)
+    os.close(from_worker)
+
+
+def _stop_workers() -> None:
+    """Kill and reap every worker (at exit); an idle worker holds nothing
+    to flush, and a kill cannot wait on another holder of its pipe."""
+    for worker in list(_workers):
+        _drop(worker)
+
+
+def _forget_workers() -> None:
+    """In every forked child: close the inherited pipes of the parent's
+    workers, which the child neither shares nor keeps alive."""
+    for _, to_worker, from_worker in _workers:
+        os.close(to_worker)
+        os.close(from_worker)
+    _workers.clear()
+
+
+atexit.register(_stop_workers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)

@@ -212,6 +212,37 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert "must lie in [1, 100000000], got 100000001" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--game", "B", "--pf", "1", "--ps", "1e-9", "--n", "5000"),
+        ("--game", "Bj", "--pf", "1", "--ps", "1e-9", "--n", "1"),
+        ("--game", "B", "--pf", "0.99", "--ps", "0.01", "--n", "9890000"),
+    ])
+    def test_draw_budget_is_kept_before_any_draw(self, capsys, monkeypatch, argv):
+        from servelab import _mc_fallback, simulate
+
+        def no_draws(*args):
+            raise AssertionError("run_batch was called")
+
+        monkeypatch.setattr(simulate, "run_batch", no_draws)
+        monkeypatch.setattr(_mc_fallback, "run_batch", no_draws)
+        code, out, err = run(capsys, "simulate", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: --n {argv[-1]} at ")
+        assert err.endswith(" draws, over the budget of 1,000,000,000\n")
+
+    def test_draw_budget_admits_up_to_its_bound(self, capsys, monkeypatch):
+        class Reached(ServelabError):
+            pass
+
+        def no_draws(sched, prof, cfg):
+            raise Reached(f"estimate_metrics ran {cfg.n_games} games")
+
+        monkeypatch.setattr("servelab.simulate.estimate_metrics", no_draws)
+        # 101.17 expected points a game: 9,880,000 games need 0.9996e9 draws
+        code, _, err = run(capsys, "simulate", "--game", "B", "--pf", "0.99", "--ps", "0.01",
+                           "--n", "9880000")
+        assert (code, err) == (3, "error: estimate_metrics ran 9880000 games\n")
+
 
 class TestFit:
     def test_bundled_sample(self, capsys):

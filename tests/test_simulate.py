@@ -1,8 +1,12 @@
 """Monte Carlo layer: determinism, kernel parity, statistical concordance."""
 
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -209,6 +213,7 @@ class TestGoldenSums:
             forks.append(1)
             return real_fork()
 
+        simulate._stop_workers()
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(os, "fork", counted_fork)
         r = estimate_metrics(rule_c(3), ServeProfile(0.696, 0.55),
@@ -219,6 +224,7 @@ class TestGoldenSums:
         assert r.expected_points == (6.4136962890625, 0.030504539732570713)
         assert r.bp_prob == (0.3438720703125, 0.005248367665398637)
         assert r.expected_bps == (0.562744140625, 0.010696791599826656)
+        simulate._stop_workers()
         _no_child_left()
 
 
@@ -321,9 +327,11 @@ _SHARD = 100  # _SHARD_MIN under test: batches from 200 games up are sharded
 @pytest.fixture
 def cpus(monkeypatch):
     """cpus(k): k usable CPUs and _SHARD_MIN = _SHARD; returns an empty
-    list that each os.fork call from then on appends to.  On teardown, the
+    list that each os.fork call from then on appends to.  The test starts
+    with no worker; on teardown its workers are stopped, and then the
     process holds the same file descriptors as before the test (where
-    /dev/fd lists them)."""
+    /dev/fd lists them) and no child."""
+    simulate._stop_workers()
     fds = set(os.listdir("/dev/fd")) if os.path.isdir("/dev/fd") else None
     forks = []
     real_fork = os.fork
@@ -340,13 +348,42 @@ def cpus(monkeypatch):
         return forks
 
     yield set_cpus
+    simulate._stop_workers()
     if fds is not None:
         assert set(os.listdir("/dev/fd")) == fds, "a pipe outlived the batch"
+    _no_child_left()
 
 
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _reaped(pid):
+    """pid is no child of this process any more: it was waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    return True
+
+
+def _exit_status(pid, timeout=60):
+    """The wait status of child pid, which must exit within timeout seconds."""
+    deadline = time.monotonic() + timeout
+    while (status := os.waitpid(pid, os.WNOHANG)) == (0, 0):
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"process {pid} did not exit within {timeout} s")
+        time.sleep(0.01)
+    return status[1]
+
+
+def _args(sched, prof):
+    return (sched.prefix_probs(prof), sched.cycle_probs(prof), sched.all_f_served, 10**6)
+
+
+def _pids():
+    return [pid for pid, _, _ in simulate._workers]
 
 
 class TestShardedBatches:
@@ -359,19 +396,23 @@ class TestShardedBatches:
         for n, first in ((2 * _SHARD - 1, 0), (2 * _SHARD, 0), (3 * _SHARD + 1, 12345),
                          (10 * _SHARD + 7, 2**40)):
             cfg = SimConfig(n_games=n, seed=2024, first_game=first)
-            args = (sched.prefix_probs(prof), sched.cycle_probs(prof), sched.all_f_served, 10**6)
+            args = _args(sched, prof)
             cpus(1)
             serial = estimate_metrics(sched, prof, cfg)
+            workers = len(simulate._workers)
             forks = cpus(k)
             assert simulate._batch_sums(cfg.seed, first, n, args) == fallback.run_batch(
                 cfg.seed, first, n, *args)
+            # one fork per worker per process: this call forks only the
+            # workers that earlier calls did not
+            assert len(forks) == max(min(k, n // _SHARD) - 1 - workers, 0)
             assert estimate_metrics(sched, prof, cfg) == serial
-            assert len(forks) == 2 * (min(k, n // _SHARD) - 1)  # two calls
-        _no_child_left()
+            assert len(forks) == max(min(k, n // _SHARD) - 1 - workers, 0)  # the second call forks nothing
+        assert len(simulate._workers) == k - 1
 
     def test_truncation_matches_serial(self, cpus, monkeypatch):
         sched, prof = rule_bj(1), ServeProfile(1.0, 0.0)
-        monkeypatch.setattr(simulate, "_MAX_DEUCE_CYCLES", 3)  # forked workers inherit it
+        monkeypatch.setattr(simulate, "_MAX_DEUCE_CYCLES", 3)  # each request carries it
         cfg = SimConfig(n_games=5 * _SHARD + 3, seed=3)
         cpus(1)
         with pytest.raises(DeuceCapExceeded) as serial:
@@ -382,6 +423,22 @@ class TestShardedBatches:
         assert len(forks) == 2
         assert str(sharded.value) == str(serial.value)
         assert str(serial.value).startswith(f"{cfg.n_games} of {cfg.n_games} games")
+
+    def test_cap_set_after_the_fork_reaches_the_workers(self, cpus, monkeypatch):
+        sched, prof = rule_bj(1), ServeProfile(0.5, 0.5)  # some games outlast 3 cycles
+        cfg = SimConfig(n_games=5 * _SHARD + 3, seed=3)
+        forks = cpus(3)
+        estimate_metrics(sched, prof, cfg)  # start the workers under the default cap
+        assert len(forks) == 2
+        monkeypatch.setattr(simulate, "_MAX_DEUCE_CYCLES", 3)
+        with pytest.raises(DeuceCapExceeded) as sharded:
+            estimate_metrics(sched, prof, cfg)
+        assert len(forks) == 2
+        cpus(1)
+        with pytest.raises(DeuceCapExceeded) as serial:
+            estimate_metrics(sched, prof, cfg)
+        assert str(sharded.value) == str(serial.value)
+        assert not str(serial.value).startswith(f"{cfg.n_games} of")
 
     @pytest.mark.parametrize("bad", ["raises", "short output"])
     def test_failed_worker_is_replayed(self, cpus, monkeypatch, bad):
@@ -402,6 +459,7 @@ class TestShardedBatches:
         forks = cpus(3)
         assert estimate_metrics(sched, prof, cfg) == serial
         assert len(forks) == 2
+        assert simulate._workers == []  # each failed worker is reaped and dropped
         _no_child_left()
 
     @pytest.mark.parametrize("good_forks", [0, 1])
@@ -421,7 +479,7 @@ class TestShardedBatches:
         monkeypatch.setattr(os, "fork", fork)
         assert estimate_metrics(sched, prof, cfg) == serial
         assert len(forks) == good_forks
-        _no_child_left()
+        assert len(simulate._workers) == good_forks
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_parent_shard_error_kills_workers(self, cpus, monkeypatch, error):
@@ -439,6 +497,7 @@ class TestShardedBatches:
             estimate_metrics(rule_t(), ServeProfile(0.6, 0.6), SimConfig(10 * _SHARD, seed=1))
         assert time.monotonic() - t0 < 30
         assert len(forks) == 2
+        assert simulate._workers == []
         _no_child_left()
 
     def test_no_fork_while_another_thread_runs(self, cpus, monkeypatch):
@@ -461,3 +520,129 @@ class TestShardedBatches:
             stop.set()
             other.join(timeout=60)
         assert not other.is_alive()
+
+    def test_subclassed_numbers_reach_the_workers(self, cpus):
+        class Chance(float):
+            pass
+
+        class Seed(int):
+            pass
+
+        sched, cfg = rule_c(3), SimConfig(n_games=4 * _SHARD, seed=Seed(8), first_game=Seed(2))
+        cpus(1)
+        serial = estimate_metrics(sched, ServeProfile(0.696, 0.55), cfg)
+        forks = cpus(2)
+        assert estimate_metrics(sched, ServeProfile(Chance(0.696), Chance(0.55)), cfg) == serial
+        assert len(forks) == 1 and len(simulate._workers) == 1
+
+
+class TestWorkerPool:
+    """The workers live from the first sharded call until the process exits."""
+
+    def test_second_call_reuses_the_workers(self, cpus):
+        forks, pids = cpus(3), []
+        for sched, prof, seed, first in ((rule_t(), ServeProfile(0.62, 0.62), 1, 0),
+                                         (rule_b(2), ServeProfile(0.666, 0.52), 2, 777)):
+            args = _args(sched, prof)
+            assert simulate._batch_sums(seed, first, 6 * _SHARD + 5, args) == (
+                fallback.run_batch(seed, first, 6 * _SHARD + 5, *args))
+            pids.append(_pids())
+        assert len(forks) == 2
+        assert pids[0] == pids[1]
+
+    def test_interrupted_call_reaps_its_workers(self, cpus, monkeypatch):
+        args = _args(rule_c(3), ServeProfile(0.696, 0.55))
+        forks = cpus(3)
+        simulate._batch_sums(5, 0, 6 * _SHARD, args)  # start the workers
+        old = _pids()
+        parent, real_run = os.getpid(), fallback.run_batch
+
+        def kernel(*a):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real_run(*a)
+
+        monkeypatch.setattr(simulate, "run_batch", kernel)
+        with pytest.raises(KeyboardInterrupt):
+            simulate._batch_sums(5, 0, 6 * _SHARD, args)
+        assert simulate._workers == []
+        assert all(_reaped(pid) for pid in old)
+        monkeypatch.setattr(simulate, "run_batch", real_run)
+        for seed in (5, 6):  # a stale reply would make one of these differ
+            assert simulate._batch_sums(seed, 0, 6 * _SHARD, args) == (
+                real_run(seed, 0, 6 * _SHARD, *args))
+        assert len(forks) == 4
+
+    def test_killed_worker_is_replaced(self, cpus):
+        args = _args(rule_t(), ServeProfile(0.9, 0.9))
+        forks = cpus(3)
+        expected = fallback.run_batch(7, 3, 5 * _SHARD, *args)
+        assert simulate._batch_sums(7, 3, 5 * _SHARD, args) == expected
+        victim, survivor = _pids()
+        os.kill(victim, signal.SIGKILL)
+        assert simulate._batch_sums(7, 3, 5 * _SHARD, args) == expected
+        assert _reaped(victim)
+        assert _pids() == [survivor]
+        assert simulate._batch_sums(7, 3, 5 * _SHARD, args) == expected
+        assert len(forks) == 3
+        assert _pids()[0] == survivor and len(_pids()) == 2
+
+    def test_stop_with_two_workers_returns(self, cpus):
+        forks = cpus(3)
+        simulate._batch_sums(1, 0, 3 * _SHARD, _args(rule_t(), ServeProfile(0.6, 0.6)))
+        pids = _pids()
+        assert len(forks) == len(pids) == 2
+        simulate._stop_workers()
+        assert simulate._workers == []
+        assert all(_reaped(pid) for pid in pids)
+
+    def test_end_of_file_ends_each_worker(self, cpus):
+        """No worker holds another's request pipe, so closing a worker's
+        pipe ends it while the later worker still runs."""
+        cpus(3)
+        simulate._batch_sums(1, 0, 3 * _SHARD, _args(rule_t(), ServeProfile(0.6, 0.6)))
+        first, later = simulate._workers
+        simulate._workers.remove(first)
+        os.close(first[1])
+        assert _exit_status(first[0]) == 0
+        os.close(first[2])
+        assert os.waitpid(later[0], os.WNOHANG) == (0, 0)
+
+    def test_forked_child_starts_its_own_workers(self, cpus):
+        args = _args(rule_c(3), ServeProfile(0.626, 0.51))
+        forks = cpus(3)
+        expected = fallback.run_batch(11, 0, 4 * _SHARD, *args)
+        assert simulate._batch_sums(11, 0, 4 * _SHARD, args) == expected
+        pids = _pids()
+        child = os.fork()
+        if child == 0:
+            code = 1
+            try:
+                if simulate._workers == []:
+                    ok = simulate._batch_sums(11, 0, 4 * _SHARD, args) == expected
+                    mine = _pids()
+                    simulate._stop_workers()
+                    code = 0 if ok and len(mine) == 2 and not set(mine) & set(pids) else 2
+            finally:
+                os._exit(code)
+        assert _exit_status(child) == 0
+        assert _pids() == pids
+        assert simulate._batch_sums(11, 0, 4 * _SHARD, args) == expected
+        assert len(forks) == 3  # two workers and the child; the child counts its own
+
+    def test_no_worker_outlives_a_process(self):
+        script = (
+            "from servelab import simulate as s, types as t\n"
+            "s._usable_cpus = lambda: 3\n"
+            "s._SHARD_MIN = 100\n"
+            "s.estimate_metrics(t.rule_t(), t.ServeProfile(0.62, 0.62), s.SimConfig(1000, 1))\n"
+            "print(*[pid for pid, _, _ in s._workers])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(simulate.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        pids = [int(pid) for pid in out.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
