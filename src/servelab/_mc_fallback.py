@@ -20,15 +20,20 @@ by one point per step:
   bit 64 and seven bits that are always 0, so bytes 8, 24, 40, ... of a
   step's sum are the lane set of the points F lost.  Finished groups go
   into the sums by bit count.
-- Compaction: once at most a quarter of the slots are live, the live
-  lanes are re-packed, so long deuce runs stop costing the full width.
-  A lane set's bytes are the flags that pick its slots, and each
-  re-packed set is a run of 0x01 bytes.
-- Chunks of CHUNK games bound the size of every packed int.
+- Compaction: once at most half the slots are live, the live lanes are
+  re-packed into the lowest slots, in lane order, so long deuce runs
+  stop costing the full width.  Each lane is labelled with one byte, the
+  number of its state or 0 once its game has finished: one compress pass
+  over the slots picks the live ones, and bytes.translate reads each
+  re-packed lane set off the labels of the live lanes.
+- Chunks of CHUNK games bound the size of every packed int.  A batch
+  builds its per-slot constants once, for its first chunk, and a
+  narrower width (a short last chunk, or a re-pack) cuts them down.
 """
 
 import math
-from itertools import compress
+import struct
+from itertools import chain, compress
 
 from .errors import DeuceCapExceeded
 
@@ -43,6 +48,14 @@ _SLOT_BYTES = _SLOT // 8
 # lanes per chunk: each packed int stays at 32 KB and each lane set at 2 KB,
 # so peak memory does not grow with the batch
 CHUNK = 2048
+# _compact reads the slots of a packed int _BLOCK at a time, so that one
+# Struct serves every width, and numbers the states _LABELS at a time
+_BLOCK = 64
+_BLOCK_SLOTS = struct.Struct(f"{_SLOT_BYTES}s" * _BLOCK)
+_LABELS = 254
+_OTHER = 255
+# _SPIKE[255 - n:511 - n] maps label n to 1 and every other label to 0
+_SPIKE = bytes(255) + b"\1" + bytes(255)
 
 
 def mix64(z: int) -> int:
@@ -136,15 +149,18 @@ def _width_constants(ones, probs):
     return ones * MASK, ones * GAMMA, offset
 
 
-def _run(n, used=0):
-    """The lane set of lanes [used, used + n): one 0x01 byte per lane."""
-    return int.from_bytes(b"\x01" * n, "little") << (8 * used)
+def _truncate(consts, width):
+    """_width_constants' (low, step, offset) cut to the lowest width slots."""
+    keep = (1 << (_SLOT * width)) - 1
+    low, step, offset = consts
+    return low & keep, step & keep, {t: o & keep for t, o in offset.items()}
 
 
-def _play_lanes(ctr, ones, probs, n_prefix, count_bp, max_points):
+def _play_lanes(ctr, width, consts, probs, n_prefix, count_bp, max_points):
     """Play the games whose draw counters base + k * GAMMA are packed in
-    ctr, one in each slot of ones and all at draw k = 0, in lockstep;
-    return run_batch's 7 sums.
+    the width slots of ctr, all at draw k = 0, in lockstep; consts are
+    _width_constants' (low, step, offset) for width slots.  Return
+    run_batch's 7 sums.
 
     probs[k] is the threshold for draw k, for k < n_prefix, and cycles
     through probs[n_prefix:] after that.  A live game is keyed by its
@@ -157,16 +173,15 @@ def _play_lanes(ctr, ones, probs, n_prefix, count_bp, max_points):
     truncated.
     """
     wins = bp_games = sum_pts = sum_pts_sq = sum_bps = sum_bps_sq = 0
-    live = width = ones.bit_count()
-    low, step, offset = _width_constants(ones, probs)
-    states = {(0, 0, 0) if n_prefix else (3, 3, 0): _run(width)}
+    live = width
+    low, step, offset = consts
+    states = {(0, 0, 0) if n_prefix else (3, 3, 0): int.from_bytes(b"\1" * width, "little")}
     cyc = probs[n_prefix:]
     for k in range(max_points):
-        if live * 4 <= width:
+        if live * 2 <= width:
             ctr, states = _compact(ctr, width, states)
             width = live
-            ones &= (1 << (_SLOT * width)) - 1
-            low, step, offset = _width_constants(ones, probs)
+            low, step, offset = _truncate((low, step, offset), width)
         t = probs[k] if k < n_prefix else cyc[(k - n_prefix) % len(cyc)]
         # bit 64 of each slot of mix + 2**64 - t is set iff F lost the point
         # and bits 65..96 are 0, so byte 8 of each slot is that lane's byte;
@@ -206,19 +221,32 @@ def _play_lanes(ctr, ones, probs, n_prefix, count_bp, max_points):
 
 
 def _compact(ctr, width, states):
-    """Re-pack the live lanes of ctr into the lowest slots, grouped by
-    state; return the new counters and the states as contiguous runs.
-    The bytes of a lane set are its lanes' 0/1 flags."""
-    nbytes = width * _SLOT_BYTES
-    raw = ctr.to_bytes(nbytes, "little")
-    starts = range(0, nbytes, _SLOT_BYTES)
-    parts, packed, used = [], {}, 0
-    for key, lanes in states.items():
-        flags = lanes.to_bytes(width, "little")
-        parts += [raw[j:j + _SLOT_BYTES] for j in compress(starts, flags)]
-        packed[key] = _run(len(parts) - used, used)
-        used = len(parts)
-    return int.from_bytes(b"".join(parts), "little"), packed
+    """Re-pack the live lanes of ctr into the lowest slots, in lane order;
+    return the new counters and the lane sets of the re-packed lanes.
+
+    Each lane gets a one-byte label: 0 once its game has finished, else
+    the number of its state, so one compress pass over the slots picks
+    the live ones, and one translate per state rebuilds its lane set from
+    the labels of the live lanes.  States are labelled _LABELS at a time,
+    and a live lane of another group's state is labelled _OTHER.
+    """
+    every = sum(states.values())  # 1 in the byte of each live lane
+    items = list(states.items())
+    packed = {}
+    for g in range(0, len(items), _LABELS):
+        group = items[g:g + _LABELS]
+        # n in the bytes of the group's n-th state, _OTHER in those of the
+        # other live lanes, 0 in those of finished lanes
+        labels = every * _OTHER + sum([lanes * (n - _OTHER)
+                                       for n, (_, lanes) in enumerate(group, 1)])
+        labels = labels.to_bytes(width, "little")
+        picked = labels.translate(None, b"\0")
+        for n, (key, _) in enumerate(group, 1):
+            pick = _SPIKE[255 - n:511 - n]
+            packed[key] = int.from_bytes(picked.translate(pick), "little")
+    slots = chain.from_iterable(_BLOCK_SLOTS.iter_unpack(
+        ctr.to_bytes(-(-width // _BLOCK) * _BLOCK * _SLOT_BYTES, "little")))
+    return int.from_bytes(b"".join(compress(slots, labels)), "little"), packed
 
 
 def run_batch(seed, first_game, n_games, prefix_probs, cycle_probs,
@@ -236,14 +264,22 @@ def run_batch(seed, first_game, n_games, prefix_probs, cycle_probs,
     probs = prefix + [threshold(float(c)) for c in cycle_probs]
     max_points = len(prefix) + max_deuce_cycles * (len(probs) - len(prefix))
     totals = [0] * 7
-    ones = iota = None
+    # every chunk's constants are the first chunk's, cut to its width;
+    # pre holds key + lane * GAMMA in each slot, and moves on by CHUNK
+    # games' worth of GAMMA from one chunk to the next
+    ones, iota = _lanes(min(CHUNK, n_games))
+    consts = _width_constants(ones, probs)
+    low = consts[0]
+    key = (seed + (first_game + 1) * GAMMA) & MASK
+    pre = (key * ones + iota * GAMMA) & low
+    stride = ((CHUNK * GAMMA) & MASK) * ones
     for start in range(0, n_games, CHUNK):
         w = min(CHUNK, n_games - start)
-        if ones is None or w < CHUNK:  # only the last chunk can be short
-            ones, iota = _lanes(w)
-        low = ones * MASK
-        key = (seed + (first_game + start + 1) * GAMMA) & MASK
-        bases = _mix_lanes((key * ones + iota * GAMMA) & low, low) & low
-        sums = _play_lanes(bases, ones, probs, len(prefix), count_bp, max_points)
+        if w < CHUNK:  # only the last chunk can be short
+            consts = _truncate(consts, w)
+            pre &= consts[0]
+        bases = _mix_lanes(pre, consts[0]) & consts[0]
+        sums = _play_lanes(bases, w, consts, probs, len(prefix), count_bp, max_points)
         totals = [a + b for a, b in zip(totals, sums)]
+        pre = (pre + stride) & low
     return tuple(totals)

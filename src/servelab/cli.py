@@ -25,9 +25,9 @@ __all__ = ["main", "entrypoint"]
 
 _METRIC_ORDER = ("win_prob", "bp_prob", "expected_points", "expected_bps")
 _MAX_SWEEP_POINTS = 100_001  # step 1e-5 over [0, 1]
-_MAX_SIM_GAMES = 10**8  # about 1.5 minutes of simulate at 1.0-1.2M games/s on two CPUs
+_MAX_SIM_GAMES = 10**8  # about 1.5 minutes of simulate at 0.9-1.2M games/s on two CPUs
 # draws simulate may expect to make (--n times the expected points per game):
-# 2-3 minutes at the 6-8M draws/s two CPUs play, and above every --n for a
+# 2-3 minutes at the 6-7M draws/s two CPUs play, and above every --n for a
 # game of at most 10 expected points (6.75 at p = 0.5)
 _MAX_SIM_DRAWS = 10**9
 _MESSAGE_MAX = 250  # longest refusal printed whole

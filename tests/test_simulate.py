@@ -1,6 +1,7 @@
 """Monte Carlo layer: determinism, kernel parity, statistical concordance."""
 
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -180,6 +181,33 @@ class TestKernelParity:
         assert tuple(got) == per_game_sums(sched, prof, 31, 0, n, max_deuce_cycles=1000)
         assert len(most_bps) >= 6 and min(most_bps) > 0
 
+    @pytest.mark.parametrize("n_states", [1, 254, 255, 300])
+    def test_compaction_matches_a_plain_repack(self, kernel, n_states):
+        # 254, 255 and 300 states reach and pass what one label byte can
+        # name (255 values besides a finished lane's 0); a tenth of the
+        # lanes have finished
+        rng = random.Random(n_states)
+        width = 3 * n_states + 7
+        counters = [rng.getrandbits(64) for _ in range(width)]
+        ctr = sum(c << (128 * j) for j, c in enumerate(counters))
+        states, held = {}, {}
+        for j, c in enumerate(counters):
+            if rng.random() < 0.1:
+                continue
+            key = (3, 3, rng.randrange(n_states))
+            states[key] = states.get(key, 0) | 1 << (8 * j)
+            held.setdefault(key, []).append(c)
+        live = sum(map(len, held.values()))
+        got_ctr, got_states = kernel._compact(ctr, width, states)
+        # the plain re-pack: each state keeps the counters of its lanes, and
+        # the live lanes fill the lowest slots, one state each
+        assert got_ctr >> (128 * live) == 0
+        slots = [(got_ctr >> (128 * j)) & (2**128 - 1) for j in range(live)]
+        assert sum(got_states.values()) == int.from_bytes(b"\1" * live, "little")
+        assert {key: sorted(slots[j] for j in range(live) if lanes >> (8 * j) & 1)
+                for key, lanes in got_states.items()} == {
+                    key: sorted(cs) for key, cs in held.items()}
+
     @given(sched=st.sampled_from(_SCHEDULES), pf=_prob, ps=_prob,
            n=st.sampled_from((1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)),
            cap=st.sampled_from((1, 2, 40)), seed=st.integers(0, 2**64 - 1),
@@ -226,6 +254,41 @@ class TestGoldenSums:
         assert r.expected_bps == (0.562744140625, 0.010696791599826656)
         simulate._stop_workers()
         _no_child_left()
+
+
+# bytes of peak RSS a 100,000-game batch may add: it adds about 0.5 MB in
+# the forked child below, and a Struct kept for each width the lanes are
+# re-packed to adds about 2 MB
+_PEAK_GROWTH = 2**20
+
+
+class TestPeakMemory:
+    def test_a_batch_adds_little_peak_memory(self):
+        """Every packed int is bounded by the chunk and nothing is kept for
+        each width the lanes are re-packed to, so a 100,000-game batch of
+        long deuce runs raises a process's peak RSS by well under 1 MB.
+
+        The batch runs in a child forked from a fresh interpreter: a
+        process started with exec keeps the peak of the process it was
+        started from (here pytest's), and a forked child starts from its
+        own size."""
+        script = (
+            "import os, resource, sys\n"
+            "from servelab import _mc_fallback as k, types as t\n"
+            "s, p = t.rule_a(), t.ServeProfile(0.5, 0.5)\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "if os.fork() == 0:\n"
+            "    before = peak()\n"
+            "    k.run_batch(1, 0, 100_000, s.prefix_probs(p), s.cycle_probs(p), False, 10**6)\n"
+            "    print((peak() - before) * (1 if sys.platform == 'darwin' else 1024))\n"
+            "    sys.stdout.flush()\n"
+            "    os._exit(0)\n"
+            "os.wait()\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(simulate.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        assert int(out) < _PEAK_GROWTH
 
 
 class TestThreshold:
