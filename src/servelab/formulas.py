@@ -61,7 +61,8 @@ def _closure_denom(a: float, b: float) -> float:
 def p_win_A(p: float) -> float:
     """Chance F wins a deuce-type game serving every point."""
     q = 1.0 - p
-    return p * p / (p * p + q * q)
+    pp = p * p
+    return pp / (pp + q * q)
 
 
 def p_bp_A(p: float) -> float:
@@ -86,8 +87,9 @@ def e_bp_A(p: float) -> float:
 
 def p_win_Bj(prof: ServeProfile) -> float:
     """Chance F wins the alternating-serve deuce-type game."""
-    d = _closure_denom(prof.p_f, prof.p_s)
-    return prof.p_f * prof.p_s / d
+    pf, ps = prof.p_f, prof.p_s
+    d = _closure_denom(pf, ps)
+    return pf * ps / d
 
 
 def e_points_Bj(prof: ServeProfile) -> float:
@@ -114,27 +116,30 @@ def p_win_T_omalley(p: float) -> float:
 def p_bp_T(p: float) -> float:
     """Chance at least one break point occurs in the T game."""
     q = 1.0 - p
-    pre = q**3 * (1.0 + 3.0 * p + 6.0 * p * p)
+    q3 = q**3
+    pre = q3 * (1.0 + 3.0 * p + 6.0 * p * p)
     # half of the 3:3 mass arrives without ever standing at a break point
-    deuce_clean = 10.0 * p**3 * q**3
+    deuce_clean = 10.0 * p**3 * q3
     return pre + deuce_clean * q / (q + p * p)
 
 
 def e_points_T(p: float) -> float:
     """Expected number of points in the T game."""
     q = 1.0 - p
+    p3, q3, pp_qq = p**3, q**3, p * p + q * q
     end4 = p**4 + q**4
-    end5 = 4.0 * p * q * (p**3 + q**3)
-    end6 = 10.0 * p * p * q * q * (p * p + q * q)
-    deuce = 20.0 * p**3 * q**3
-    return 4.0 * end4 + 5.0 * end5 + 6.0 * end6 + deuce * (6.0 + 2.0 / (p * p + q * q))
+    end5 = 4.0 * p * q * (p3 + q3)
+    end6 = 10.0 * p * p * q * q * pp_qq
+    deuce = 20.0 * p3 * q3
+    return 4.0 * end4 + 5.0 * end5 + 6.0 * end6 + deuce * (6.0 + 2.0 / pp_qq)
 
 
 def e_bp_T(p: float) -> float:
     """Expected number of break points in the T game."""
     q = 1.0 - p
-    pre = q**3 * (1.0 + 4.0 * p + 10.0 * p * p)
-    deuce = 20.0 * p**3 * q**3
+    q3 = q**3
+    pre = q3 * (1.0 + 4.0 * p + 10.0 * p * p)
+    deuce = 20.0 * p**3 * q3
     return pre + deuce * q / (p * p + q * q)
 
 
@@ -146,38 +151,59 @@ def e_bp_T(p: float) -> float:
 # the complemented profile (p <-> q at both sources).  Coefficients multiply
 # their bracket and terms add left to right: that grouping fixes every float
 # operation, so regrouping would change results in the last place.
+#
+# A subexpression that any form here evaluates more than once, identical as
+# a tree (same operands, same left-to-right grouping), is evaluated once
+# into a local.  ps2 is ps**2, and a product's local names its factors left
+# to right: ps2_qs is ps2 * qs.  `**` stays `**`, since x**3 and x * x * x
+# can differ in the last place.  _tie_mass takes the powers and products
+# its caller has already formed.  Locals are assigned at most three at a
+# time, which builds no tuple.
 
 
-def _tie_mass(ps: float, qs: float, pf: float, qf: float) -> float:
+def _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3):
     """Mass reaching the first 3:3 tie: three points at each source, F takes 3 of 6."""
-    return (9 * (ps * qs**2 * pf**2 * qf + ps**2 * qs * pf * qf**2)
-            + (ps**3 * qf**3 + qs**3 * pf**3))
+    return (9 * (ps_qs2 * pf2 * qf + ps2_qs * pf * qf2)
+            + (ps3 * qf3 + qs3 * pf3))
 
 
 def p_win_B(prof: ServeProfile) -> float:
     """Chance F wins the complete alternating-serve game."""
-    d = _closure_denom(prof.p_f, prof.p_s)
     ps, pf = prof.p_s, prof.p_f
+    d = _closure_denom(pf, ps)
     qs, qf = 1.0 - ps, 1.0 - pf
-    pre = (ps**2 * pf**2 + 2 * (ps * qs * pf**3) + 2 * (ps**2 * pf**2 * qf)
-           + 6 * (ps**2 * qs * pf**2 * qf) + 3 * (ps**3 * pf * qf**2)
-           + ps * qs**2 * pf**3)
-    return pre + _tie_mass(ps, qs, pf, qf) * pf * ps / d
+    ps2, qs2 = ps**2, qs**2
+    pf2, qf2 = pf**2, qf**2
+    ps3, qs3 = ps**3, qs**3
+    pf3, qf3 = pf**3, qf**3
+    ps2_pf2, ps2_qs, ps_qs2 = ps2 * pf2, ps2 * qs, ps * qs2
+    pre = (ps2_pf2 + 2 * (ps * qs * pf3) + 2 * (ps2_pf2 * qf)
+           + 6 * (ps2_qs * pf2 * qf) + 3 * (ps3 * pf * qf2)
+           + ps_qs2 * pf3)
+    tie = _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3)
+    return pre + tie * pf * ps / d
 
 
 def e_points_B(prof: ServeProfile) -> float:
     """Expected number of points in the complete alternating-serve game."""
-    d = _closure_denom(prof.p_f, prof.p_s)
     ps, pf = prof.p_s, prof.p_f
+    d = _closure_denom(pf, ps)
     qs, qf = 1.0 - ps, 1.0 - pf
+    ps2, qs2 = ps**2, qs**2
+    pf2, qf2 = pf**2, qf**2
+    ps3, qs3 = ps**3, qs**3
+    pf3, qf3 = pf**3, qf**3
+    ps_qs, ps2_pf2 = ps * qs, ps2 * pf2
+    ps2_qs, ps_qs2 = ps2 * qs, ps * qs2
     # length-weighted absorption mass: 4 * end@4 + 5 * end@5 + 6 * end@6
-    pre = (4 * (ps**2 * pf**2 + qs**2 * qf**2)
-           + 10 * (ps**2 * pf**2 * qf + qs**2 * pf * qf**2)
-           + 10 * (ps * qs * pf**3 + ps * qs * qf**3)
-           + 18 * (ps**3 * pf * qf**2 + qs**3 * pf**2 * qf)
-           + 36 * (ps**2 * qs * pf**2 * qf + ps * qs**2 * pf * qf**2)
-           + 6 * (ps * qs**2 * pf**3 + ps**2 * qs * qf**3))
-    return pre + _tie_mass(ps, qs, pf, qf) * (6.0 + 2.0 / d)
+    pre = (4 * (ps2_pf2 + qs2 * qf2)
+           + 10 * (ps2_pf2 * qf + qs2 * pf * qf2)
+           + 10 * (ps_qs * pf3 + ps_qs * qf3)
+           + 18 * (ps3 * pf * qf2 + qs3 * pf2 * qf)
+           + 36 * (ps2_qs * pf2 * qf + ps_qs2 * pf * qf2)
+           + 6 * (ps_qs2 * pf3 + ps2_qs * qf3))
+    tie = _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3)
+    return pre + tie * (6.0 + 2.0 / d)
 
 
 # ---------------------------------------------------------------- C-type
@@ -191,21 +217,28 @@ def p_win_C(prof: ServeProfile) -> float:
     """Chance F wins the C(3) game."""
     ps, pf = prof.p_s, prof.p_f
     qs, qf = 1.0 - ps, 1.0 - pf
-    pre = (ps * pf**3 + ps * qs * pf**3 + 3 * (ps**2 * pf**2 * qf) + ps * qs**2 * pf**3
-           + 6 * (ps**2 * qs * pf**2 * qf) + 3 * (ps**3 * pf * qf**2))
-    return pre + _tie_mass(ps, qs, pf, qf) * ps * ps / (ps * ps + qs * qs)
+    ps2, qs2 = ps**2, qs**2
+    pf2, qf2 = pf**2, qf**2
+    ps3, qs3 = ps**3, qs**3
+    pf3, qf3 = pf**3, qf**3
+    ps2_qs, ps_qs2 = ps2 * qs, ps * qs2
+    pre = (ps * pf3 + ps * qs * pf3 + 3 * (ps2 * pf2 * qf) + ps_qs2 * pf3
+           + 6 * (ps2_qs * pf2 * qf) + 3 * (ps3 * pf * qf2))
+    tie = _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3)
+    return pre + tie * ps * ps / (ps * ps + qs * qs)
 
 
 def p_bp_C(prof: ServeProfile) -> float:
     """Chance at least one break point occurs in the C(3) game."""
     ps, pf = prof.p_s, prof.p_f
     qs, qf = 1.0 - ps, 1.0 - pf
+    qs2, pf2, qf2 = qs**2, pf**2, qf**2
     # first arrival at a stand-one-point-from-break state (S at 3, F at <= 2)
-    first = (qf**3 + 3 * (qs * pf * qf**2) + 3 * (qs**2 * pf**2 * qf)
-             + 3 * (ps * qs * pf * qf**2))
+    first = (qf**3 + 3 * (qs * pf * qf2) + 3 * (qs2 * pf2 * qf)
+             + 3 * (ps * qs * pf * qf2))
     # mass reaching 3:3 without ever having faced a break point
-    clean = (qs**3 * pf**3 + 6 * (ps * qs**2 * pf**2 * qf)
-             + 3 * (ps**2 * qs * pf * qf**2))
+    clean = (qs**3 * pf**3 + 6 * (ps * qs2 * pf2 * qf)
+             + 3 * (ps**2 * qs * pf * qf2))
     return first + clean * qs / (qs + ps * ps)
 
 
@@ -213,23 +246,34 @@ def e_points_C(prof: ServeProfile) -> float:
     """Expected number of points in the C(3) game."""
     ps, pf = prof.p_s, prof.p_f
     qs, qf = 1.0 - ps, 1.0 - pf
-    pre = (4 * (ps * pf**3 + qs * qf**3)
-           + 5 * (ps * qs * pf**3 + ps * qs * qf**3)
-           + 15 * (ps**2 * pf**2 * qf + qs**2 * pf * qf**2)
-           + 18 * (ps**3 * pf * qf**2 + qs**3 * pf**2 * qf)
-           + 36 * (ps**2 * qs * pf**2 * qf + ps * qs**2 * pf * qf**2)
-           + 6 * (ps * qs**2 * pf**3 + ps**2 * qs * qf**3))
-    return pre + _tie_mass(ps, qs, pf, qf) * (6.0 + 2.0 / (ps * ps + qs * qs))
+    ps2, qs2 = ps**2, qs**2
+    pf2, qf2 = pf**2, qf**2
+    ps3, qs3 = ps**3, qs**3
+    pf3, qf3 = pf**3, qf**3
+    ps_qs, ps2_qs, ps_qs2 = ps * qs, ps2 * qs, ps * qs2
+    pre = (4 * (ps * pf3 + qs * qf3)
+           + 5 * (ps_qs * pf3 + ps_qs * qf3)
+           + 15 * (ps2 * pf2 * qf + qs2 * pf * qf2)
+           + 18 * (ps3 * pf * qf2 + qs3 * pf2 * qf)
+           + 36 * (ps2_qs * pf2 * qf + ps_qs2 * pf * qf2)
+           + 6 * (ps_qs2 * pf3 + ps2_qs * qf3))
+    tie = _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3)
+    return pre + tie * (6.0 + 2.0 / (ps * ps + qs * qs))
 
 
 def e_bp_C(prof: ServeProfile) -> float:
     """Expected number of break points in the C(3) game."""
     ps, pf = prof.p_s, prof.p_f
     qs, qf = 1.0 - ps, 1.0 - pf
+    ps2, qs2 = ps**2, qs**2
+    pf2, qf2 = pf**2, qf**2
+    ps3, qs3 = ps**3, qs**3
+    pf3, qf3 = pf**3, qf**3
     # every occupancy of a break-point state before 3:3, counted per point
-    visits = (qf**3 + ps * qf**3 + ps**2 * qf**3 + 3 * (qs * pf * qf**2)
-              + 6 * (ps * qs * pf * qf**2) + 3 * (qs**2 * pf**2 * qf))
-    return visits + _tie_mass(ps, qs, pf, qf) * qs / (ps * ps + qs * qs)
+    visits = (qf3 + ps * qf3 + ps2 * qf3 + 3 * (qs * pf * qf2)
+              + 6 * (ps * qs * pf * qf2) + 3 * (qs2 * pf2 * qf))
+    tie = _tie_mass(ps * qs2, ps2 * qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3)
+    return visits + tie * qs / (ps * ps + qs * qs)
 
 
 # ---------------------------------------------------------------- table
