@@ -16,7 +16,10 @@ ServeProfile checked it when it was built, so the pair is not checked
 again.  The schedule's getters, built with the schedule, pick the
 lattice's six chances and the cycle's two ends from that pair, and the
 ends go to _closure, the arithmetic of deuce_closure without its input
-checks.  Also a generalized absorbing-barrier random-walk utility.
+checks.  Every coefficient in this arithmetic is a float literal: an int
+would give the same bits, since it converts to a double exactly, but would
+keep CPython from specializing the operation.  Also a generalized
+absorbing-barrier random-walk utility.
 
 The closed forms in formulas.py are validated against this module; on
 any disagreement the engine is authoritative.
@@ -110,14 +113,14 @@ def _lattice(sched: ServeSchedule, pick: tuple[float, float]) -> tuple[float, ..
     m30, m21, m12, m03 = a, (m20 - a) + b, (m11 - b) + c, m02 - c
     # point 4: F wins from 3:0, or loses the break point at 0:3
     a, b, c, d = m30 * p3, m21 * p3, m12 * p3, m03 * p3
-    win, len_sum = a, 4 * a + 4 * (m03 - d)
+    win, len_sum = a, 4.0 * a + 4.0 * (m03 - d)
     bp_visits = bp_first = m03
     m31, m22, m13, m13_seen = (m30 - a) + b, (m21 - b) + c, m12 - c, d
     # point 5: F wins from 3:1, or loses a break point at 1:3
     a, b, c, d = m31 * p4, m22 * p4, m13 * p4, m13_seen * p4
     lost, lost_seen = m13 - c, m13_seen - d
     win += a
-    len_sum = len_sum + 5 * a + 5 * lost + 5 * lost_seen
+    len_sum = len_sum + 5.0 * a + 5.0 * lost + 5.0 * lost_seen
     bp_visits = bp_visits + m13 + m13_seen
     bp_first += m13
     m32, m23, m23_seen = (m31 - a) + b, m22 - b, c + d
@@ -126,7 +129,7 @@ def _lattice(sched: ServeSchedule, pick: tuple[float, float]) -> tuple[float, ..
     a, c, d = m32 * p5, m23 * p5, m23_seen * p5
     lost, lost_seen = m23 - c, m23_seen - d
     win += a
-    len_sum = len_sum + 6 * a + 6 * lost + 6 * lost_seen
+    len_sum = len_sum + 6.0 * a + 6.0 * lost + 6.0 * lost_seen
     bp_visits = bp_visits + m23 + m23_seen
     bp_first += m23
     return win, len_sum, bp_first, bp_visits, m32 - a, c + d
@@ -142,11 +145,13 @@ def metrics_exact(sched: ServeSchedule, prof: ServeProfile) -> GameMetrics:
     they are None.  Every field is a plain float.
     """
     pick = (float(prof.p_f), float(prof.p_s))
-    c_win, c_len, c_bp_indicator, c_bp_count = _closure(*sched._pick_ends(pick))
+    a, b = sched._pick_ends(pick)
+    c_win, c_len, c_bp_indicator, c_bp_count = _closure(a, b)
     win, len_sum, bp_first, bp_visits, tie_clean, tie_seen = _lattice(sched, pick)
     tie_total = tie_clean + tie_seen
     win = win + tie_total * c_win
-    points = len_sum + tie_total * (len(sched.prefix) + c_len)
+    # a prefix is empty or six points long
+    points = len_sum + tie_total * ((6.0 if sched.prefix else 0.0) + c_len)
     # tuple.__new__ is what GameMetrics._make calls
     if sched.all_f_served:
         return _new(GameMetrics, (win, points, bp_first + tie_clean * c_bp_indicator,

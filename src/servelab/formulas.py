@@ -159,11 +159,18 @@ def e_bp_T(p: float) -> float:
 # can differ in the last place.  _tie_mass takes the powers and products
 # its caller has already formed.  Locals are assigned at most three at a
 # time, which builds no tuple.
+#
+# Coefficients are float literals (9.0, not 9).  CPython specializes float
+# arithmetic only when both operands are floats, so an int coefficient sends
+# its operation down the generic path.  float arithmetic converts an int
+# operand to a double first, and every coefficient is below 2**53, so the
+# conversion is exact and 9 * x and 9.0 * x give the same bits.  `**`
+# exponents stay ints.
 
 
 def _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3):
     """Mass reaching the first 3:3 tie: three points at each source, F takes 3 of 6."""
-    return (9 * (ps_qs2 * pf2 * qf + ps2_qs * pf * qf2)
+    return (9.0 * (ps_qs2 * pf2 * qf + ps2_qs * pf * qf2)
             + (ps3 * qf3 + qs3 * pf3))
 
 
@@ -177,8 +184,8 @@ def p_win_B(prof: ServeProfile) -> float:
     ps3, qs3 = ps**3, qs**3
     pf3, qf3 = pf**3, qf**3
     ps2_pf2, ps2_qs, ps_qs2 = ps2 * pf2, ps2 * qs, ps * qs2
-    pre = (ps2_pf2 + 2 * (ps * qs * pf3) + 2 * (ps2_pf2 * qf)
-           + 6 * (ps2_qs * pf2 * qf) + 3 * (ps3 * pf * qf2)
+    pre = (ps2_pf2 + 2.0 * (ps * qs * pf3) + 2.0 * (ps2_pf2 * qf)
+           + 6.0 * (ps2_qs * pf2 * qf) + 3.0 * (ps3 * pf * qf2)
            + ps_qs2 * pf3)
     tie = _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3)
     return pre + tie * pf * ps / d
@@ -196,12 +203,12 @@ def e_points_B(prof: ServeProfile) -> float:
     ps_qs, ps2_pf2 = ps * qs, ps2 * pf2
     ps2_qs, ps_qs2 = ps2 * qs, ps * qs2
     # length-weighted absorption mass: 4 * end@4 + 5 * end@5 + 6 * end@6
-    pre = (4 * (ps2_pf2 + qs2 * qf2)
-           + 10 * (ps2_pf2 * qf + qs2 * pf * qf2)
-           + 10 * (ps_qs * pf3 + ps_qs * qf3)
-           + 18 * (ps3 * pf * qf2 + qs3 * pf2 * qf)
-           + 36 * (ps2_qs * pf2 * qf + ps_qs2 * pf * qf2)
-           + 6 * (ps_qs2 * pf3 + ps2_qs * qf3))
+    pre = (4.0 * (ps2_pf2 + qs2 * qf2)
+           + 10.0 * (ps2_pf2 * qf + qs2 * pf * qf2)
+           + 10.0 * (ps_qs * pf3 + ps_qs * qf3)
+           + 18.0 * (ps3 * pf * qf2 + qs3 * pf2 * qf)
+           + 36.0 * (ps2_qs * pf2 * qf + ps_qs2 * pf * qf2)
+           + 6.0 * (ps_qs2 * pf3 + ps2_qs * qf3))
     tie = _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3)
     return pre + tie * (6.0 + 2.0 / d)
 
@@ -222,8 +229,8 @@ def p_win_C(prof: ServeProfile) -> float:
     ps3, qs3 = ps**3, qs**3
     pf3, qf3 = pf**3, qf**3
     ps2_qs, ps_qs2 = ps2 * qs, ps * qs2
-    pre = (ps * pf3 + ps * qs * pf3 + 3 * (ps2 * pf2 * qf) + ps_qs2 * pf3
-           + 6 * (ps2_qs * pf2 * qf) + 3 * (ps3 * pf * qf2))
+    pre = (ps * pf3 + ps * qs * pf3 + 3.0 * (ps2 * pf2 * qf) + ps_qs2 * pf3
+           + 6.0 * (ps2_qs * pf2 * qf) + 3.0 * (ps3 * pf * qf2))
     tie = _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3)
     return pre + tie * ps * ps / (ps * ps + qs * qs)
 
@@ -234,11 +241,11 @@ def p_bp_C(prof: ServeProfile) -> float:
     qs, qf = 1.0 - ps, 1.0 - pf
     qs2, pf2, qf2 = qs**2, pf**2, qf**2
     # first arrival at a stand-one-point-from-break state (S at 3, F at <= 2)
-    first = (qf**3 + 3 * (qs * pf * qf2) + 3 * (qs2 * pf2 * qf)
-             + 3 * (ps * qs * pf * qf2))
+    first = (qf**3 + 3.0 * (qs * pf * qf2) + 3.0 * (qs2 * pf2 * qf)
+             + 3.0 * (ps * qs * pf * qf2))
     # mass reaching 3:3 without ever having faced a break point
-    clean = (qs**3 * pf**3 + 6 * (ps * qs2 * pf2 * qf)
-             + 3 * (ps**2 * qs * pf * qf2))
+    clean = (qs**3 * pf**3 + 6.0 * (ps * qs2 * pf2 * qf)
+             + 3.0 * (ps**2 * qs * pf * qf2))
     return first + clean * qs / (qs + ps * ps)
 
 
@@ -251,12 +258,12 @@ def e_points_C(prof: ServeProfile) -> float:
     ps3, qs3 = ps**3, qs**3
     pf3, qf3 = pf**3, qf**3
     ps_qs, ps2_qs, ps_qs2 = ps * qs, ps2 * qs, ps * qs2
-    pre = (4 * (ps * pf3 + qs * qf3)
-           + 5 * (ps_qs * pf3 + ps_qs * qf3)
-           + 15 * (ps2 * pf2 * qf + qs2 * pf * qf2)
-           + 18 * (ps3 * pf * qf2 + qs3 * pf2 * qf)
-           + 36 * (ps2_qs * pf2 * qf + ps_qs2 * pf * qf2)
-           + 6 * (ps_qs2 * pf3 + ps2_qs * qf3))
+    pre = (4.0 * (ps * pf3 + qs * qf3)
+           + 5.0 * (ps_qs * pf3 + ps_qs * qf3)
+           + 15.0 * (ps2 * pf2 * qf + qs2 * pf * qf2)
+           + 18.0 * (ps3 * pf * qf2 + qs3 * pf2 * qf)
+           + 36.0 * (ps2_qs * pf2 * qf + ps_qs2 * pf * qf2)
+           + 6.0 * (ps_qs2 * pf3 + ps2_qs * qf3))
     tie = _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3)
     return pre + tie * (6.0 + 2.0 / (ps * ps + qs * qs))
 
@@ -270,8 +277,8 @@ def e_bp_C(prof: ServeProfile) -> float:
     ps3, qs3 = ps**3, qs**3
     pf3, qf3 = pf**3, qf**3
     # every occupancy of a break-point state before 3:3, counted per point
-    visits = (qf3 + ps * qf3 + ps2 * qf3 + 3 * (qs * pf * qf2)
-              + 6 * (ps * qs * pf * qf2) + 3 * (qs2 * pf2 * qf))
+    visits = (qf3 + ps * qf3 + ps2 * qf3 + 3.0 * (qs * pf * qf2)
+              + 6.0 * (ps * qs * pf * qf2) + 3.0 * (qs2 * pf2 * qf))
     tie = _tie_mass(ps * qs2, ps2 * qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3)
     return visits + tie * qs / (ps * ps + qs * qs)
 

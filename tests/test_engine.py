@@ -1,7 +1,11 @@
 """Engine checks against independent path-enumeration / series oracles."""
 
+import ast
+import hashlib
+import inspect
 import pickle
 import re
+import textwrap
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -395,6 +399,418 @@ class TestMetricsExact:
         assert m == metrics_exact(sched, ServeProfile(0.6, 0.45))
         for name, value in zip(GameMetrics._fields, m):
             assert value is None or value.__class__ is float, name
+
+
+# float.hex() of the four metrics_exact fields ("None" for a field that is
+# None), one string per schedule in _SCHEDULES order, at the profiles that
+# tests/test_formulas.py pins; a call that raises is pinned by its
+# exception's type name.  The composed-reference checks above hold the engine
+# to code it mirrors, so a last-place change made in both passes them; these
+# values were taken before the engine's arithmetic was last rewritten, and
+# fail on it.
+_GOLDEN_ENGINE = {
+    (0.63, 0.52): (
+        "0x1.7cb0de86796e0p-1 0x1.df9492f18444ap+1 0x1.ee0a7b4f58d3cp-2 0x1.62e3b46b0ad6ap-1",
+        "0x1.4c026eab7a393p-1 0x1.fabae1cc8427cp+1 None None",
+        "0x1.4c026eab7a393p-1 0x1.fabae1cc8427cp+1 None None",
+        "0x1.96e021f03ec38p-1 0x1.943c3d4ef98d2p+2 0x1.4ffe717a0c776p-2 0x1.1c1ec6de78f6ap-1",
+        "0x1.5d9b632f408d8p-1 0x1.a772db7a7b090p+2 None None",
+        "0x1.5d9b632f408d8p-1 0x1.a772db7a7b091p+2 None None",
+        "0x1.1989e737021bcp-1 0x1.af48e2f1de0ccp+2 0x1.1fbf791e19ebdp-1 0x1.e020b3a2bb9b7p-1",
+        "0x1.2b06bf78bcca2p-1 0x1.ae177497ee3eep+2 0x1.0c7db1a08e975p-1 0x1.bbb1f119cc059p-1",
+        "0x1.3c543dcf6ed98p-1 0x1.ab5c1024806d4p+2 0x1.f1c763b2a04e0p-2 0x1.97a5d48fd9100p-1",
+        "0x1.4d47655100422p-1 0x1.a71ccb04923b3p+2 0x1.ca5fb85075e58p-2 0x1.7455ecec94cbbp-1",
+        "0x1.5db6c0355dcffp-1 0x1.a1693b74343d0p+2 0x1.a34aaee96ba80p-2 0x1.580a156146056p-1",
+        "0x1.6d7c739a4beddp-1 0x1.9c35b2440702bp+2 0x1.7d0bc004fe8f8p-2 0x1.462856d3c5af4p-1",
+        "0x1.7c7823cc98e6cp-1 0x1.983ce5125c438p+2 0x1.6461ba4b8a452p-2 0x1.3e881488e4401p-1",
+    ),
+    (0.5, 0.5): (
+        "0x1.0000000000000p-1 0x1.0000000000000p+2 0x1.5555555555555p-1 0x1.0000000000000p+0",
+        "0x1.0000000000000p-1 0x1.0000000000000p+2 None None",
+        "0x1.0000000000000p-1 0x1.0000000000000p+2 None None",
+        "0x1.0000000000000p-1 0x1.b000000000000p+2 0x1.3555555555555p-1 0x1.0000000000000p+0",
+        "0x1.0000000000000p-1 0x1.b000000000000p+2 None None",
+        "0x1.0000000000000p-1 0x1.b000000000000p+2 None None",
+        "0x1.0000000000000p-1 0x1.b000000000000p+2 0x1.3555555555555p-1 0x1.0000000000000p+0",
+        "0x1.0000000000000p-1 0x1.b000000000000p+2 0x1.3555555555555p-1 0x1.0000000000000p+0",
+        "0x1.0000000000000p-1 0x1.b000000000000p+2 0x1.3555555555555p-1 0x1.0000000000000p+0",
+        "0x1.0000000000000p-1 0x1.b000000000000p+2 0x1.3555555555555p-1 0x1.0000000000000p+0",
+        "0x1.0000000000000p-1 0x1.b000000000000p+2 0x1.3555555555555p-1 0x1.0000000000000p+0",
+        "0x1.0000000000000p-1 0x1.b000000000000p+2 0x1.3555555555555p-1 0x1.0000000000000p+0",
+        "0x1.0000000000000p-1 0x1.b000000000000p+2 0x1.3555555555555p-1 0x1.0000000000000p+0",
+    ),
+    (0.3, 0.7): (
+        "0x1.3dcb08d3dcb09p-3 0x1.b9611a7b9611bp+1 0x1.c5abbf309b8b6p-1 0x1.34f72c234f72cp+0",
+        "0x1.fffffffffffffp-2 0x1.30c30c30c30c3p+2 None None",
+        "0x1.fffffffffffffp-2 0x1.30c30c30c30c3p+2 None None",
+        "0x1.965e4f4817a92p-4 0x1.75372062fb61ap+2 0x1.d6847aee05ae2p-1 0x1.496e6fc74707cp+0",
+        "0x1.ffffffffffffep-2 0x1.cf5a9980a2479p+2 None None",
+        "0x1.ffffffffffffep-2 0x1.cf5a9980a247ap+2 None None",
+        "0x1.cd343616fd0aep-1 0x1.75372062fb61bp+2 0x1.96033bb61d484p-3 0x1.52a3ecbc13b7dp-2",
+        "0x1.ac80c73abc946p-1 0x1.957a786c22680p+2 0x1.3e3ef8765acd8p-2 0x1.1652bd3c36114p-1",
+        "0x1.7cda6784c50c6p-1 0x1.aba825da49de8p+2 0x1.d43d8ee71754ap-2 0x1.b527fc456f2bdp-1",
+        "0x1.3d8adab9f559ap-1 0x1.afe5c91d14e3cp+2 0x1.3cdaf3d444eccp-1 0x1.44189374bc6a8p+0",
+        "0x1.e802f5de0a383p-2 0x1.9b7a45cd2e6d0p+2 0x1.8270887f54a4ep-1 0x1.499466fe43425p+0",
+        "0x1.5ba0a5269595ep-2 0x1.84c985f06f694p+2 0x1.b43850b9b51bcp-1 0x1.3212d77318fc5p+0",
+        "0x1.d0ca9e860f87cp-3 0x1.75372062fb61ap+2 0x1.be825d63007aep-1 0x1.28bb00eb06915p+0",
+    ),
+    (0.9, 0.1): (
+        "0x1.f9c18f9c18f9cp-1 0x1.3831f3831f383p+1 0x1.c21c21c21c21ap-4 0x1.f3831f3831f36p-4",
+        "0x1.0000000000001p-1 0x1.638e38e38e38ep+3 None None",
+        "0x1.0000000000001p-1 0x1.638e38e38e38ep+3 None None",
+        "0x1.ff423bbacbab4p-1 0x1.1d768de1a64ebp+2 0x1.32be96d1427abp-7 0x1.da6aad02d3c57p-7",
+        "0x1.0000000000001p-1 0x1.8c73992517704p+3 None None",
+        "0x1.0000000000000p-1 0x1.8c73992517702p+3 None None",
+        "0x1.7b888a68a96b4p-10 0x1.1d768de1a64ecp+2 0x1.ff4f09d45a191p-1 0x1.1c085a1271265p+0",
+        "0x1.187e7c06e19bbp-7 0x1.59930be0ded2ap+2 0x1.fbcf0641e6c81p-1 0x1.1a027525460abp+0",
+        "0x1.78f9d1edd25e8p-5 0x1.9ab88511eeb79p+2 0x1.e8f2813aeb21dp-1 0x1.0f5ae1998523ep+0",
+        "0x1.b15b573eab368p-3 0x1.cd14e3bcd35aap+2 0x1.9423ae5d4ddecp-1 0x1.c083126e978d4p-1",
+        "0x1.6e1189f38736dp-1 0x1.502c6fc556588p+2 0x1.2437152869df6p-2 0x1.4533d1c3e0f31p-2",
+        "0x1.da708ede54b49p-1 0x1.258e219652bd3p+2 0x1.2cd8dec1f1092p-4 0x1.5e9e1b089a022p-4",
+        "0x1.f7f9d064fd47dp-1 0x1.1d768de1a64ebp+2 0x1.025fb69224badp-6 0x1.d642c13b3650ap-6",
+    ),
+    (0.2, 0.8): (
+        "0x1.e1e1e1e1e1e1ep-5 0x1.7878787878786p+1 0x1.e79e79e79e79ep-1 0x1.2d2d2d2d2d2d2p+0",
+        "0x1.0000000000001p-1 0x1.9000000000000p+2 None None",
+        "0x1.0000000000001p-1 0x1.9000000000000p+2 None None",
+        "0x1.64d301b377aaap-6 0x1.457cc88f3726dp+2 0x1.f6515db66b94ap-1 0x1.3907e0f77ea9bp+0",
+        "0x1.0000000000002p-1 0x1.0989374bc6a80p+3 None None",
+        "0x1.0000000000002p-1 0x1.0989374bc6a80p+3 None None",
+        "0x1.f4d967f26442cp-1 0x1.457cc88f3726cp+2 0x1.152fa27086e0ep-4 0x1.be07c2205594bp-4",
+        "0x1.e2584f4c6e6dcp-1 0x1.78ef34d6a161ep+2 0x1.5650fdd7bffe3p-3 0x1.288ce703afb7dp-2",
+        "0x1.b6dc222cd31f6p-1 0x1.a64f450796f32p+2 0x1.78612639b5efbp-2 0x1.6db3551fe0636p-1",
+        "0x1.5e9e1b089a028p-1 0x1.b6ae7d566cf43p+2 0x1.55a33a40bf7d7p-1 0x1.9374bc6a7ef9dp+0",
+        "0x1.ac7873893eb2cp-2 0x1.7f9a39f86f380p+2 0x1.b647a118fe4f9p-1 0x1.5f3223cdc9b12p+0",
+        "0x1.b13165d3996fdp-3 0x1.56d5cfaacd9eap+2 0x1.e397e0330e401p-1 0x1.2d77318fc5048p+0",
+        "0x1.81464acc3b3bcp-4 0x1.457cc88f3726dp+2 0x1.e75692e6edb76p-1 0x1.2686c85188d4ap+0",
+    ),
+    (0.45, 0.62): (
+        "0x1.9a9d260511be0p-2 0x1.faee41e6a7496p+1 0x1.763822051a5d9p-1 0x1.16cfd7720f353p+0",
+        "0x1.24b8a7de6d1d6p-1 0x1.064b8a7de6d1dp+2 None None",
+        "0x1.24b8a7de6d1d6p-1 0x1.064b8a7de6d1dp+2 None None",
+        "0x1.81e55be5450e3p-2 0x1.ab941cec66688p+2 0x1.686a8251fee39p-1 0x1.220c1c0c266dep+0",
+        "0x1.2d639d31ee9bap-1 0x1.b2dfab668a160p+2 None None",
+        "0x1.2d639d31ee9b9p-1 0x1.b2dfab668a15fp+2 None None",
+        "0x1.8d3de06ae72bfp-1 0x1.980b2de6d3cb0p+2 0x1.64ddb4a1fc68bp-2 0x1.2dfed9d933dd0p-1",
+        "0x1.77b759199578dp-1 0x1.a1fb7ac330dfcp+2 0x1.9fcd965259f7cp-2 0x1.66a43df29199bp-1",
+        "0x1.5ff43f97d4300p-1 0x1.a90125c66fd1fp+2 0x1.ddb1c1bf724cdp-2 0x1.a52c661f9bb7ap-1",
+        "0x1.464a30ce77c82p-1 0x1.aca5c971f522cp+2 0x1.0e48e0baf9aa7p-1 0x1.e8b6064c73f13p-1",
+        "0x1.2b3abfbe0cd4cp-1 0x1.ac97d9ce42420p+2 0x1.2d193d069582dp-1 0x1.04e8298a9f75dp+0",
+        "0x1.0f6afbfeff440p-1 0x1.aaa3e27632518p+2 0x1.4a57969ab5181p-1 0x1.07340b7fa094cp+0",
+        "0x1.e71938b8c3500p-2 0x1.a81e97202bd7cp+2 0x1.5644fec6f10e7p-1 0x1.05499f0b0c4cbp+0",
+    ),
+    (0.696, 0.55): (
+        "0x1.adf88eed0e0f4p-1 0x1.bbcdab4d0ef7fp+1 0x1.8ad6559366237p-2 0x1.0dd51c6000e8cp-1",
+        "0x1.79336fbdc86ccp-1 0x1.ecafca654bdfap+1 None None",
+        "0x1.79336fbdc86ccp-1 0x1.ecafca654bdfap+1 None None",
+        "0x1.cabb050d07f94p-1 0x1.771fd3d20efd6p+2 0x1.a3b50c89e5c5fp-3 0x1.5e74f9b7be11cp-2",
+        "0x1.92174f9f44be0p-1 0x1.986739ee1cb28p+2 None None",
+        "0x1.92174f9f44be0p-1 0x1.986739ee1cb28p+2 None None",
+        "0x1.3f0d520d5d790p-1 0x1.ab941cec66688p+2 0x1.fd7a31a282f78p-2 0x1.acc5f45413d6cp-1",
+        "0x1.557e69b13f59ep-1 0x1.a7aefbc4d4d4ep+2 0x1.c9446c9a80036p-2 0x1.7ae71520c88d8p-1",
+        "0x1.6b2429ebd8a15p-1 0x1.a12ae548c207cp+2 0x1.94d2014344e9fp-2 0x1.4acc149e9060ap-1",
+        "0x1.7fa19c7a26e3ep-1 0x1.982abbf4ddffcp+2 0x1.615c48c977b71p-2 0x1.1d4387d41b5aep-1",
+        "0x1.92a559c3c6890p-1 0x1.8ced6482afd6bp+2 0x1.3028f505bcfd4p-2 0x1.ef5a21748357dp-2",
+        "0x1.a3f15e689203cp-1 0x1.8399167f45967p+2 0x1.025085533739cp-2 0x1.bc76536afb0b9p-2",
+        "0x1.b3605d43f9b3fp-1 0x1.7d1a950df4b1fp+2 0x1.ccea474b82423p-3 0x1.a5154e39716eap-2",
+    ),
+    (0.666, 0.52): (
+        "0x1.991b9b7ccac80p-1 0x1.cd2b0ef02b44cp+1 0x1.b7dc3b52101b2p-2 0x1.340f7373607ccp-1",
+        "0x1.5dfbe0784ca48p-1 0x1.f94a2d3170034p+1 None None",
+        "0x1.5dfbe0784ca48p-1 0x1.f94a2d3170034p+1 None None",
+        "0x1.b5bddce88883dp-1 0x1.850a4313ade8dp+2 0x1.085731bf60d34p-2 0x1.bca927f95b938p-2",
+        "0x1.72b7cf047632fp-1 0x1.a345faf0e8674p+2 None None",
+        "0x1.72b7cf047632fp-1 0x1.a345faf0e8674p+2 None None",
+        "0x1.1989e737021bcp-1 0x1.af48e2f1de0ccp+2 0x1.1fbf791e19ebdp-1 0x1.e020b3a2bb9b7p-1",
+        "0x1.30bfe5aa2d15dp-1 0x1.adb37f0622178p+2 0x1.06304fc1f1488p-1 0x1.afc58c32ccbd6p-1",
+        "0x1.47a27980a6795p-1 0x1.a968152fd6c24p+2 0x1.d80b797169472p-2 0x1.80182d894fd8ap-1",
+        "0x1.5dcd1f1ae9848p-1 0x1.a274deff2f550p+2 0x1.a3a33bae56278p-2 0x1.51e9ff3299814p-1",
+        "0x1.72e010b309b08p-1 0x1.9905940c0af66p+2 0x1.7069398656763p-2 0x1.2bcffd9f2c121p-1",
+        "0x1.8688d4bf60b7dp-1 0x1.90acdef7abb38p+2 0x1.3f896b7ca813bp-2 0x1.125053c4bf783p-1",
+        "0x1.9889c8c20fe20p-1 0x1.8a8b8717dc051p+2 0x1.200596a9a083bp-2 0x1.068b302b82a42p-1",
+    ),
+    (0.626, 0.51): (
+        "0x1.7951d8b5339afp-1 0x1.e16d6c34a425cp+1 0x1.f40cb3a8d7746p-2 0x1.681b937f708adp-1",
+        "0x1.45486689df6fep-1 0x1.fd6eb5b98909ap+1 None None",
+        "0x1.45486689df6fep-1 0x1.fd6eb5b98909ap+1 None None",
+        "0x1.9313409c008bbp-1 0x1.95c8928a76e9ap+2 0x1.584cb20ac9105p-2 0x1.233e26123809dp-1",
+        "0x1.5574cbe205b3ap-1 0x1.a96852134524ap+2 None None",
+        "0x1.5574cbe205b3ap-1 0x1.a96852134524ap+2 None None",
+        "0x1.0ccad5bd09826p-1 0x1.afd226275801ep+2 0x1.2a997d8a4f25ap-1 0x1.f0579a2a9e39cp-1",
+        "0x1.1f52991a61fe8p-1 0x1.af30ba698adb4p+2 0x1.1686a8497190fp-1 0x1.ca8673f3f4180p-1",
+        "0x1.31bfeff6c5a6ep-1 0x1.acd7160e82066p+2 0x1.01f8d6fdb7b84p-1 0x1.a4eb3ad95cf4ap-1",
+        "0x1.43dfe3ae2fa9fp-1 0x1.a8c8cccfb3e32p+2 0x1.da6daecff6089p-2 0x1.7fedf0a6f78b2p-1",
+        "0x1.55807057133afp-1 0x1.a31548dca04bep+2 0x1.b11ccbdf8a419p-2 0x1.624be8f91b984p-1",
+        "0x1.667342b2f2ee6p-1 0x1.9dc7eed9fb5bcp+2 0x1.8898f1e914dc2p-2 0x1.4f95cd26ee4edp-1",
+        "0x1.7690556eec1b0p-1 0x1.99ae40f0eacb2p+2 0x1.6df8c3ea12a75p-2 0x1.478c6e0c343d8p-1",
+    ),
+    (0.608, 0.49): (
+        "0x1.69a9877780040p-1 0x1.e92d4d3c34387p+1 0x1.0781dc55c8f9bp-1 0x1.7f83c5c4b4348p-1",
+        "0x1.3264c993264c9p-1 0x1.011c5808e2c05p+2 None None",
+        "0x1.3264c993264c9p-1 0x1.011c5808e2c05p+2 None None",
+        "0x1.811c3e880d0d5p-1 0x1.9c531d52331e8p+2 0x1.7e595b3c2b32fp-2 0x1.43b2b94c1d65ep-1",
+        "0x1.3e6ceb17266f7p-1 0x1.ad8a21c94e9bep+2 None None",
+        "0x1.3e6ceb17266f8p-1 0x1.ad8a21c94e9bfp+2 None None",
+        "0x1.e66a5485ecfb3p-2 0x1.afd226275801ep+2 0x1.3fecc90c4873ap-1 0x1.07859a54f0399p+0",
+        "0x1.060eb79d810d7p-1 0x1.b0765a5f970a6p+2 0x1.2c1bdf55d376cp-1 0x1.ea1556b71708dp-1",
+        "0x1.19039cbe04ffdp-1 0x1.af53066353c06p+2 0x1.179b0f781e1f8p-1 0x1.c4e9dbb896d34p-1",
+        "0x1.2bde34794f825p-1 0x1.ac64664960778p+2 0x1.02af243617d6cp-1 0x1.9ff1f376873cbp-1",
+        "0x1.3e67d5bc30749p-1 0x1.a7b363159711bp+2 0x1.db4cb9ba26b52p-2 0x1.82bb8c400a826p-1",
+        "0x1.506bd01e9eab3p-1 0x1.a3177ebd8a8dap+2 0x1.b1a1aa7a48392p-2 0x1.70c31e4420e0bp-1",
+        "0x1.61ba8caebfb4bp-1 0x1.9f6307b4d4ee6p+2 0x1.95420036e5467p-2 0x1.69343feaae5e6p-1",
+    ),
+    (0.0, 0.0): (
+        "0x0.0p+0 0x1.0000000000000p+1 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+1 None None",
+        "0x0.0p+0 0x1.0000000000000p+1 None None",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 None None",
+        "0x0.0p+0 0x1.0000000000000p+2 None None",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+    ),
+    (1.0, 1.0): (
+        "0x1.0000000000000p+0 0x1.0000000000000p+1 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+1 None None",
+        "0x1.0000000000000p+0 0x1.0000000000000p+1 None None",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 None None",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 None None",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+    ),
+    (0.0, 0.5): (
+        "0x0.0p+0 0x1.0000000000000p+1 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 None None",
+        "0x0.0p+0 0x1.0000000000000p+2 None None",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.6000000000000p+2 None None",
+        "0x0.0p+0 0x1.6000000000000p+2 None None",
+        "0x1.0000000000000p-1 0x1.b000000000000p+2 0x1.3555555555555p-1 0x1.0000000000000p+0",
+        "0x1.6000000000000p-2 0x1.b000000000000p+2 0x1.8aaaaaaaaaaabp-1 0x1.5000000000000p+0",
+        "0x1.8000000000000p-3 0x1.9000000000000p+2 0x1.d555555555555p-1 0x1.a000000000000p+0",
+        "0x1.0000000000000p-4 0x1.5000000000000p+2 0x1.0000000000000p+0 0x1.e000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+    ),
+    (1.0, 0.5): (
+        "0x1.0000000000000p+0 0x1.0000000000000p+1 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 None None",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 None None",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.6000000000000p+2 None None",
+        "0x1.0000000000000p+0 0x1.6000000000000p+2 None None",
+        "0x1.0000000000000p-1 0x1.b000000000000p+2 0x1.3555555555555p-1 0x1.0000000000000p+0",
+        "0x1.5000000000000p-1 0x1.b000000000000p+2 0x1.c000000000000p-2 0x1.6000000000000p-1",
+        "0x1.a000000000000p-1 0x1.9000000000000p+2 0x1.0000000000000p-2 0x1.8000000000000p-2",
+        "0x1.e000000000000p-1 0x1.5000000000000p+2 0x1.5555555555555p-4 0x1.0000000000000p-3",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+    ),
+    (0.5, 0.0): (
+        "0x1.0000000000000p-1 0x1.0000000000000p+2 0x1.5555555555555p-1 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 None None",
+        "0x0.0p+0 0x1.0000000000000p+2 None None",
+        "0x1.0000000000000p-1 0x1.b000000000000p+2 0x1.3555555555555p-1 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.7000000000000p+2 None None",
+        "0x0.0p+0 0x1.7000000000000p+2 None None",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.2000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.4000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.6800000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x1.0000000000000p-4 0x1.8000000000000p+2 0x1.e000000000000p-1 0x1.0000000000000p+0",
+        "0x1.8000000000000p-3 0x1.8800000000000p+2 0x1.a000000000000p-1 0x1.0000000000000p+0",
+        "0x1.6000000000000p-2 0x1.8800000000000p+2 0x1.5000000000000p-1 0x1.0000000000000p+0",
+    ),
+    (0.5, 1.0): (
+        "0x1.0000000000000p-1 0x1.0000000000000p+2 0x1.5555555555555p-1 0x1.0000000000000p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 None None",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 None None",
+        "0x1.0000000000000p-1 0x1.b000000000000p+2 0x1.3555555555555p-1 0x1.0000000000000p+0",
+        "0x1.0000000000000p+0 0x1.7000000000000p+2 None None",
+        "0x1.0000000000000p+0 0x1.7000000000000p+2 None None",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.2000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.4000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.6800000000000p+2 0x1.0000000000000p-3 0x1.8000000000000p-2",
+        "0x1.e000000000000p-1 0x1.8000000000000p+2 0x1.4000000000000p-2 0x1.4000000000000p-1",
+        "0x1.a000000000000p-1 0x1.8800000000000p+2 0x1.0000000000000p-1 0x1.6000000000000p-1",
+        "0x1.5000000000000p-1 0x1.8800000000000p+2 0x1.0000000000000p-1 0x1.6000000000000p-1",
+    ),
+    (1e-300, 0.5): (
+        "0x0.0p+0 0x1.0000000000000p+1 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x1.56e1fc2f8f359p-997 0x1.0000000000000p+2 None None",
+        "0x1.56e1fc2f8f359p-997 0x1.0000000000000p+2 None None",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x1.56e1fc2f8f359p-998 0x1.6000000000000p+2 None None",
+        "0x1.56e1fc2f8f359p-998 0x1.6000000000000p+2 None None",
+        "0x1.0000000000000p-1 0x1.b000000000000p+2 0x1.3555555555555p-1 0x1.0000000000000p+0",
+        "0x1.6000000000000p-2 0x1.b000000000000p+2 0x1.8aaaaaaaaaaabp-1 0x1.5000000000000p+0",
+        "0x1.8000000000000p-3 0x1.9000000000000p+2 0x1.d555555555555p-1 0x1.a000000000000p+0",
+        "0x1.0000000000000p-4 0x1.5000000000000p+2 0x1.0000000000000p+0 0x1.e000000000000p+0",
+        "0x1.56e1fc2f8f359p-998 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+    ),
+    (0.5, 5e-324): (
+        "0x1.0000000000000p-1 0x1.0000000000000p+2 0x1.5555555555555p-1 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 None None",
+        "0x0.0p+0 0x1.0000000000000p+2 None None",
+        "0x1.0000000000000p-1 0x1.b000000000000p+2 0x1.3555555555555p-1 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.7000000000000p+2 None None",
+        "0x0.0p+0 0x1.7000000000000p+2 None None",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.2000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.4000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.6800000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x1.0000000000000p-4 0x1.8000000000000p+2 0x1.e000000000000p-1 0x1.0000000000000p+0",
+        "0x1.8000000000000p-3 0x1.8800000000000p+2 0x1.a000000000000p-1 0x1.0000000000000p+0",
+        "0x1.6000000000000p-2 0x1.8800000000000p+2 0x1.5000000000000p-1 0x1.0000000000000p+0",
+    ),
+    (0.9999999999999999, 1e-300): (
+        "0x1.0000000000000p+0 0x1.0000000000001p+1 0x1.0000000000001p-53 0x1.0000000000001p-53",
+        "0x1.56e1fc2f8f358p-944 0x1.0000000000000p+54 None None",
+        "0x1.56e1fc2f8f358p-944 0x1.0000000000000p+54 None None",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x1.a000000000001p-156 0x1.3000000000001p-155",
+        "0x1.56e1fc2f8f358p-944 0x1.0000000000000p+54 None None",
+        "0x1.56e1fc2f8f358p-944 0x1.0000000000000p+54 None None",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.4000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.7ffffffffffffp+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x1.01297d23ab681p-995 0x1.fffffffffffffp+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x1.ffffffffffffcp-1 0x1.0000000000002p+2 0x1.0000000000000p-51 0x1.0000000000000p-51",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x1.6000000000001p-103 0x1.6000000000001p-103",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x1.d000000000000p-155 0x1.8000000000000p-154",
+    ),
+    (5e-324, 0.9999999999999999): (
+        "0x0.0p+0 0x1.0000000000000p+1 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x1.0000000000000p-1021 0x1.0000000000000p+54 None None",
+        "0x1.0000000000000p-1021 0x1.0000000000000p+54 None None",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x1.0000000000000p-1021 0x1.0000000000000p+54 None None",
+        "0x1.0000000000000p-1021 0x1.0000000000000p+54 None None",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x1.a000000000001p-156 0x1.3000000000001p-155",
+        "0x1.0000000000000p+0 0x1.4000000000001p+2 0x1.c000000000001p-104 0x1.6000000000001p-103",
+        "0x1.0000000000000p+0 0x1.8000000000001p+2 0x1.8000000000000p-52 0x1.8000000000000p-51",
+        "0x1.ffffffffffffdp-1 0x1.fffffffffffffp+2 0x1.0000000000000p+0 0x1.8000000000000p+1",
+        "0x0.0000000000004p-1022 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+    ),
+    (0.9999999999999999, 5e-324): (
+        "0x1.0000000000000p+0 0x1.0000000000001p+1 0x1.0000000000001p-53 0x1.0000000000001p-53",
+        "0x1.0000000000000p-1021 0x1.0000000000000p+54 None None",
+        "0x1.0000000000000p-1021 0x1.0000000000000p+54 None None",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x1.a000000000001p-156 0x1.3000000000001p-155",
+        "0x1.0000000000000p-1021 0x1.0000000000000p+54 None None",
+        "0x1.0000000000000p-1021 0x1.0000000000000p+54 None None",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.4000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.7ffffffffffffp+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0000000000003p-1022 0x1.fffffffffffffp+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x1.ffffffffffffcp-1 0x1.0000000000002p+2 0x1.0000000000000p-51 0x1.0000000000000p-51",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x1.6000000000001p-103 0x1.6000000000001p-103",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x1.d000000000000p-155 0x1.8000000000000p-154",
+    ),
+    (1.0, 0.0): (
+        "0x1.0000000000000p+0 0x1.0000000000000p+1 0x0.0p+0 0x0.0p+0",
+        "SingularProfile",
+        "SingularProfile",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "SingularProfile",
+        "SingularProfile",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.4000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.8000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+3 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+    ),
+    (0.0, 1.0): (
+        "0x0.0p+0 0x1.0000000000000p+1 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "SingularProfile",
+        "SingularProfile",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "SingularProfile",
+        "SingularProfile",
+        "0x1.0000000000000p+0 0x1.0000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.4000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.8000000000000p+2 0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+3 0x1.0000000000000p+0 0x1.8000000000000p+1",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "0x0.0p+0 0x1.0000000000000p+2 0x1.0000000000000p+0 0x1.0000000000000p+0",
+    ),
+}
+
+
+def _engine_row(pf: float, ps: float) -> tuple[str, ...]:
+    prof = ServeProfile(pf, ps)
+    row = []
+    for sched in _SCHEDULES:
+        try:
+            m = metrics_exact(sched, prof)
+        except Exception as exc:  # the exception type is what is pinned
+            row.append(type(exc).__name__)
+            continue
+        row.append(" ".join("None" if v is None else v.hex() for v in m))
+    return tuple(row)
+
+
+class TestGoldenBits:
+    @pytest.mark.parametrize("pf,ps", list(_GOLDEN_ENGINE), ids=repr)
+    def test_bit_identical(self, pf, ps):
+        assert _engine_row(pf, ps) == _GOLDEN_ENGINE[pf, ps]
+
+    def test_bit_identical_on_a_grid(self):
+        digest = hashlib.sha256()
+        for i in range(41):
+            for j in range(41):
+                digest.update(" | ".join(_engine_row(i / 40, j / 40)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "685528daf337896cc46891ee530d941e3c00ee60fb7fd70b23f1d2e7267e6b66")
+
+
+def _int_operands(fn) -> list[str]:
+    """Every int literal that is a direct operand of +, -, * or / in fn."""
+    found = []
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if not isinstance(node, ast.BinOp) or not isinstance(
+                node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+            continue
+        for side in (node.left, node.right):
+            if isinstance(side, ast.UnaryOp) and isinstance(side.op, (ast.UAdd, ast.USub)):
+                side = side.operand
+            if isinstance(side, ast.Constant) and type(side.value) is int:
+                found.append(ast.unparse(node))
+    return found
+
+
+_FLOAT_PATH = (engine._lattice, engine._closure, engine.metrics_exact,
+               *(fn for forms in fm.CLOSED_FORMS.values() for _, fn in forms),
+               fm._tie_mass, fm._closure_denom)
+
+
+class TestFloatFastPath:
+    # an int literal operand gives the same bits but keeps CPython from
+    # specializing the float operation (see the note above
+    # formulas._tie_mass); `**` exponents are exempt
+    @pytest.mark.parametrize("fn", _FLOAT_PATH, ids=lambda fn: fn.__qualname__)
+    def test_no_int_literal_operand(self, fn):
+        assert _int_operands(fn) == []
 
 
 def walk_oracle(n, p):
