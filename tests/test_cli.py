@@ -736,6 +736,104 @@ class TestTopLevel:
         assert got == expected
 
 
+def _command(*argv, script=None, stdout=subprocess.PIPE, **popen):
+    """Run `python -m servelab.cli argv` with buffered stdout, or the Python
+    `script` if given, and return (exit code, stdout, stderr)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(servelab.__file__).parents[1])
+    prog = ["-c", script] if script is not None else ["-m", "servelab.cli", *argv]
+    proc = subprocess.run([sys.executable, *prog], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120, **popen)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _files(folder: Path) -> dict:
+    return {f.name: f.read_bytes() for f in sorted(folder.iterdir())}
+
+
+class TestCommandProcess:
+    """The servelab process ends through cli.entrypoint, which flushes and
+    leaves with os._exit: it prints, writes and exits as main() does."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (("eval", "--game", "C", "--pf", "0.696", "--ps", "0.55"), 0),
+        (("eval", "--game", "T", "--p", "0.62", "--json"), 0),
+        (("eval", "--game", "T"), 2),
+        (("sweep", "--games", "A,T", "--start", "0.3", "--stop", "0.7", "--step", "0.1",
+          "--out", "OUT/o.csv", "--svg", "OUT/o.svg"), 0),
+        (("sweep", "--games", "Bj", "--var", "p_F", "--start", "0.9", "--stop", "1.0",
+          "--step", "0.1", "--out", "-"), 0),
+        (("fit", SAMPLE), 0),
+        (("shape", SAMPLE, "--low", "200", "--high", "1", "--json"), 0),
+        (("shape", SAMPLE, "--low", "nobody", "--high", "1"), 3),
+        (("compare", "DUP", "--x", "4"), 0),
+        (("simulate", "--game", "T", "--p", "0.62", "--n", "2000", "--seed", "7"), 0),
+        (("simulate", "--game", "C", "--pf", "0.7", "--ps", "0.5", "--n", "20000", "--json"), 0),
+    ], ids=["eval", "eval-json", "usage-error", "sweep-files", "sweep-warning", "fit",
+            "shape-json", "data-error", "compare-warning", "simulate", "simulate-sharded"])
+    def test_process_matches_main(self, capsys, tmp_path, argv, code):
+        # exit code, stdout, stderr and the files written; OUT is a folder
+        # of each side's own, and DUP a stats file that warns
+        dup = tmp_path / "dup.csv"
+        dup.write_text(f"{HEADER}\n1,x,0.62,0.77,0.57,0.88\n1,z,0.6,0.75,0.55,0.85\n",
+                       encoding="utf-8")
+        got = {}
+        for side in ("process", "main"):
+            out = tmp_path / side
+            out.mkdir()
+            args = [str(dup) if a == "DUP" else a.replace("OUT", str(out)) for a in argv]
+            ran = _command(*args) if side == "process" else run(capsys, *args)
+            got[side] = (*ran, _files(out))
+        assert got["process"] == got["main"]
+        assert got["main"][0] == code
+
+    @pytest.mark.parametrize("argv", [("--help",), ("eval", "--help")])
+    def test_help_into_closed_pipe_exits_zero(self, argv):
+        # the help text waits in stdout's buffer until the process ends
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, _, err = _command(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no full device")
+    @pytest.mark.parametrize("argv, err", [
+        (("--help",), ""),
+        (("eval", "--game", "T", "--p", "0.6"), "error: [Errno 28] No space left on device\n"),
+    ])
+    def test_output_lost_on_a_full_device_is_a_data_error(self, argv, err):
+        with open("/dev/full", "w") as full:
+            assert _command(*argv, stdout=full)[::2] == (3, err)
+
+    def test_closed_stdout_descriptor_keeps_the_code(self):
+        # a process started without descriptor 1 has no sys.stdout to flush
+        code, _, err = _command("eval", "--game", "T", stdout=subprocess.DEVNULL,
+                                preexec_fn=lambda: os.close(1))
+        assert (code, err) == (2, "usage error: --p is required for game T\n")
+
+    def test_no_worker_outlives_a_command(self):
+        # an exit handler registered after simulate's runs before it and
+        # reports the workers that simulate's handler then kills and reaps
+        script = (
+            "import atexit, sys\n"
+            "from servelab import cli, simulate as s\n"
+            "s._usable_cpus = lambda: 3\n"
+            "s._SHARD_MIN = 100\n"
+            "atexit.register(lambda: print(*[w[0] for w in s._workers], file=sys.stderr))\n"
+            "sys.argv = ['servelab', 'simulate', '--game', 'T', '--p', '0.62', '--n', '1000']\n"
+            "cli.entrypoint()\n"
+        )
+        code, out, err = _command(script=script)
+        assert (code, out.splitlines()[0]) == (0, "metric,mc_mean,mc_std_err,engine,z")
+        pids = [int(pid) for pid in err.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
 # Number strings for every numeric flag: valid values that keep each run
 # short, plus the non-finite, subnormal, huge and malformed kinds.  No pool
 # value makes a near-singular profile (which would make `simulate` play
