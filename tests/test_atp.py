@@ -3,6 +3,7 @@ import io
 import pytest
 
 from servelab.atp import (
+    _MAX_SOURCE_BYTES,
     PlayerStats,
     fit_report,
     load_sample,
@@ -95,6 +96,23 @@ class TestParse:
         f = tmp_path / "stats.csv"
         f.write_text(f"{HEADER}\n9,z,0.6,0.7,0.5,0.8\n", encoding="utf-8")
         assert parse_stats(f)[0].rank == 9
+
+    def test_source_bound(self, tmp_path):
+        # a source of _MAX_SOURCE_BYTES is read; one byte more is refused,
+        # from a path and from an open file alike
+        head = f"{HEADER}\n9,z,0.6,0.7,0.5,0.8\n#"
+        for size, fits in ((_MAX_SOURCE_BYTES, True), (_MAX_SOURCE_BYTES + 1, False)):
+            text = head + "x" * (size - len(head) - 1) + "\n"
+            f = tmp_path / "stats.csv"
+            f.write_text(text, encoding="utf-8")
+            assert f.stat().st_size == size
+            for source in (f, io.StringIO(text)):
+                if fits:
+                    assert [r.rank for r in parse_stats(source)] == [9]
+                    continue
+                with pytest.raises(ParseError) as info:
+                    parse_stats(source)
+                assert str(info.value) == "stats file is larger than 4,194,304 bytes"
 
 
 class TestBlend:

@@ -677,12 +677,14 @@ class TestReadme:
 
 class TestTopLevel:
     def test_import_skips_dataclasses_and_svg(self):
-        # importing the CLI loads only errors and types, and naming the
-        # backend loads nothing more; each command then imports what it
-        # runs, so eval loads neither the simulator nor json
+        # importing the CLI loads only errors and types, no handler module,
+        # and naming the backend loads nothing more; each command then
+        # imports its family's handler module and what it runs, so eval
+        # loads neither the simulator nor json
         lazy = ["dataclasses", "json", "csv"] + [
             f"servelab.{m}" for m in
-            ("atp", "engine", "formulas", "shaping", "simulate", "_mc_fallback", "svg")
+            ("atp", "engine", "formulas", "shaping", "simulate", "_mc_fallback", "svg",
+             "_cli_game", "_cli_stats", "_cli_sweep")
         ]
         code = "\n".join([
             "import contextlib, io, sys, servelab.cli",
@@ -698,7 +700,8 @@ class TestTopLevel:
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines() == [
-            "[]", "pure-python []", "0 ['servelab.engine', 'servelab.formulas']"
+            "[]", "pure-python []",
+            "0 ['servelab.engine', 'servelab.formulas', 'servelab._cli_game']",
         ]
 
     def test_no_subcommand(self, capsys):
@@ -769,19 +772,27 @@ class TestCommandProcess:
         (("compare", "DUP", "--x", "4"), 0),
         (("simulate", "--game", "T", "--p", "0.62", "--n", "2000", "--seed", "7"), 0),
         (("simulate", "--game", "C", "--pf", "0.7", "--ps", "0.5", "--n", "20000", "--json"), 0),
+        # a refusal from each handler module's family
+        (("sweep", "--games", "A", "--start", "0.5", "--stop", "0.4", "--step", "0.1",
+          "--out", "-"), 2),
+        (("compare", "EMPTY"), 2),
+        (("simulate", "--game", "B", "--pf", "1", "--ps", "1e-9", "--n", "5000"), 3),
     ], ids=["eval", "eval-json", "usage-error", "sweep-files", "sweep-warning", "fit",
-            "shape-json", "data-error", "compare-warning", "simulate", "simulate-sharded"])
+            "shape-json", "data-error", "compare-warning", "simulate", "simulate-sharded",
+            "sweep-usage-error", "compare-no-rows", "simulate-data-error"])
     def test_process_matches_main(self, capsys, tmp_path, argv, code):
         # exit code, stdout, stderr and the files written; OUT is a folder
-        # of each side's own, and DUP a stats file that warns
-        dup = tmp_path / "dup.csv"
-        dup.write_text(f"{HEADER}\n1,x,0.62,0.77,0.57,0.88\n1,z,0.6,0.75,0.55,0.85\n",
-                       encoding="utf-8")
+        # of each side's own, DUP a stats file that warns, and EMPTY one
+        # with a header and no rows
+        stats = {"DUP": tmp_path / "dup.csv", "EMPTY": tmp_path / "empty.csv"}
+        stats["DUP"].write_text(f"{HEADER}\n1,x,0.62,0.77,0.57,0.88\n1,z,0.6,0.75,0.55,0.85\n",
+                                encoding="utf-8")
+        stats["EMPTY"].write_text(f"{HEADER}\n", encoding="utf-8")
         got = {}
         for side in ("process", "main"):
             out = tmp_path / side
             out.mkdir()
-            args = [str(dup) if a == "DUP" else a.replace("OUT", str(out)) for a in argv]
+            args = [str(stats[a]) if a in stats else a.replace("OUT", str(out)) for a in argv]
             ran = _command(*args) if side == "process" else run(capsys, *args)
             got[side] = (*ran, _files(out))
         assert got["process"] == got["main"]
@@ -832,6 +843,65 @@ class TestCommandProcess:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_interrupt_exits_130_and_reaps_the_workers(self):
+        # Ctrl-C lands in the parent's own range, once its two workers are
+        # forked and sent theirs; the parent prints the workers' pids first
+        script = (
+            "import os, sys\n"
+            "from servelab import cli, simulate as s\n"
+            "s._usable_cpus = lambda: 3\n"
+            "s._SHARD_MIN = 100\n"
+            "parent, play = os.getpid(), s.run_batch\n"
+            "def run_batch(*args):\n"
+            "    if os.getpid() != parent:\n"
+            "        return play(*args)\n"
+            "    print(*[w[0] for w in s._workers])\n"
+            "    raise KeyboardInterrupt\n"
+            "s.run_batch = run_batch\n"
+            "sys.argv = ['servelab', 'simulate', '--game', 'T', '--p', '0.62', '--n', '1000']\n"
+            "cli.entrypoint()\n"
+        )
+        code, out, err = _command(script=script)
+        assert (code, err) == (130, "interrupted\n")
+        pids = [int(pid) for pid in out.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+def _address_space_limit():
+    """Cap the child's address space at 1 GiB, so a read without end fails
+    fast; the test process keeps its own limit."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+class TestStatsSourceBound:
+    """A stats source past atp._MAX_SOURCE_BYTES, 4 MiB, is a data error
+    that reads no further, in a process whose memory is capped."""
+
+    def test_one_byte_over_the_bound(self, tmp_path):
+        bound = 4 * 2**20  # the README's
+        path = tmp_path / "big.csv"
+        rows = f"{HEADER}\n" + "".join(f"{rank},x,0.62,0.77,0.57,0.88\n"
+                                       for rank in range(1, bound // 30))
+        # valid to the last byte, so only the bound refuses it
+        path.write_text(rows + "#" * (bound - len(rows)) + "\n", encoding="utf-8")
+        assert path.stat().st_size == bound + 1
+        code, out, err = _command("fit", str(path), preexec_fn=_address_space_limit)
+        assert (code, out, err) == (3, "", "error: stats file is larger than 4,194,304 bytes\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no zero device")
+    @pytest.mark.parametrize("argv", [
+        ("fit",), ("compare",), ("shape", "--low", "1", "--high", "2"),
+    ])
+    def test_endless_source(self, argv):
+        code, out, err = _command(argv[0], "/dev/zero", *argv[1:],
+                                  preexec_fn=_address_space_limit)
+        assert (code, out, err) == (3, "", "error: stats file is larger than 4,194,304 bytes\n")
 
 
 # Number strings for every numeric flag: valid values that keep each run
@@ -1050,6 +1120,57 @@ class TestEveryArgument:
         monkeypatch.chdir(tmp_path)
         for name, base in _VALID.items():
             assert run(capsys, name, *base)[0] == 0, name
+
+
+# the servelab modules each subcommand's _VALID argv loads, besides the
+# package, errors, types and _cli_shared, which every command loads
+_LOADS = {
+    "eval": {"_cli_game", "engine", "formulas"},
+    "simulate": {"_cli_game", "engine", "simulate", "_mc_fallback"},
+    "sweep": {"_cli_sweep", "engine"},
+    "fit": {"_cli_stats", "atp", "formulas"},
+    "shape": {"_cli_stats", "atp", "formulas", "engine", "shaping"},
+    "compare": {"_cli_stats", "atp", "formulas", "engine", "shaping"},
+}
+
+
+class TestImportGraph:
+    """A command compiles its own family's handler module and the library
+    modules it runs, and never servelab.cli a second time."""
+
+    @pytest.mark.parametrize("name", list(_VALID))
+    def test_command_loads_only_its_family(self, name):
+        # run as `python -m servelab.cli` does: cli's code under another
+        # name, not registered as servelab.cli, so that a handler module
+        # that imported servelab.cli would load it
+        code = "\n".join([
+            "import contextlib, io, runpy, sys",
+            "cli = runpy.run_module('servelab.cli', run_name='cli_main')",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    code = cli['main']({[name, *_VALID[name]]!r})",
+            "print(code, *sorted(m for m in sys.modules if m.startswith('servelab')))",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(servelab.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        code, *loaded = proc.stdout.split()
+        everyone = {"servelab", "servelab.errors", "servelab.types", "servelab._cli_shared"}
+        assert (code, set(loaded)) == ("0", everyone | {f"servelab.{m}" for m in _LOADS[name]})
+
+
+class TestHelpText:
+    """main parses an argv that names a subcommand with that subcommand's
+    parser alone; each help text reads as the full parser prints it."""
+
+    @pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in _VALID)])
+    def test_same_as_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+        with pytest.raises(SystemExit):
+            servelab.cli.build_parser().parse_args(argv)
+        full = capsys.readouterr().out
+        assert full.startswith("usage: servelab ")
+        assert run(capsys, *argv) == (0, full, "")
 
 
 # every numeric flag: (subcommand, flag, lo, hi)
