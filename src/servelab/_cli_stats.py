@@ -85,7 +85,11 @@ def cmd_compare(args) -> None:
     from .shaping import CompareRow, compare_table
 
     table = compare_table(_stats_rows(args.csv), args.x)
-    _emit(args, {"x": args.x, "rows": [r._asdict() for r in table]}, [
+    # a table may hold 100,000 rows, so build only the output asked for
+    if args.json:
+        _emit(args, {"x": args.x, "rows": [r._asdict() for r in table]}, [])
+        return
+    _emit(args, None, [
         ",".join(CompareRow._fields),
         *(f"{r.rank}," + ",".join(_fmt(v) for v in r[1:]) for r in table),
         "# 3-decimal view",

@@ -16,10 +16,10 @@ ServeProfile checked it when it was built, so the pair is not checked
 again.  The schedule's getters, built with the schedule, pick the
 lattice's six chances and the cycle's two ends from that pair, and the
 ends go to _closure, the arithmetic of deuce_closure without its input
-checks.  Every coefficient in this arithmetic is a float literal: an int
-would give the same bits, since it converts to a double exactly, but would
-keep CPython from specializing the operation.  Also a generalized
-absorbing-barrier random-walk utility.
+checks.  This arithmetic keeps the rules stated above formulas._tie_mass:
+float-literal coefficients, each repeated subexpression evaluated once,
+each local assigned once, at most three names per assignment.  Also a
+generalized absorbing-barrier random-walk utility.
 
 The closed forms in formulas.py are validated against this module; on
 any disagreement the engine is authoritative.
@@ -62,19 +62,18 @@ def deuce_closure(cycle: Sequence[float]) -> tuple[float, float, float, float]:
 
 def _closure(a: float, b: float) -> tuple[float, float, float, float]:
     """deuce_closure for the cycle ends a, b: floats in [0, 1], unchecked."""
-    denom = a * b + (1.0 - a) * (1.0 - b)
+    a_b = a * b
+    qa = 1.0 - a
+    denom = a_b + qa * (1.0 - b)
     if denom < _MIN_DENOM:
         raise SingularProfile(
             f"tied-region cycle ({a}, {b}) never terminates (denominator 0)"
         )
-    win = a * b / denom
-    expected_len = 2.0 / denom
-    # first passage to receiver advantage: lose now, or hold one point
-    # then win the next and try again from level; for chances in [0, 1],
-    # (1 - a) + a * b is 0 only at (a, b) = (1, 0), rejected above
-    bp_indicator = (1.0 - a) / ((1.0 - a) + a * b)
-    bp_count = (1.0 - a) / denom
-    return win, expected_len, bp_indicator, bp_count
+    # win, expected_len, bp_indicator, bp_count; the indicator is the first
+    # passage to receiver advantage: lose now, or hold one point then win
+    # the next and try again from level.  For chances in [0, 1], qa + a_b
+    # is 0 only at (a, b) = (1, 0), rejected above
+    return a_b / denom, 2.0 / denom, qa / (qa + a_b), qa / denom
 
 
 _LEVEL_START = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)  # _lattice's order
@@ -93,46 +92,41 @@ def _lattice(sched: ServeSchedule, pick: tuple[float, float]) -> tuple[float, ..
     Written out state by state, since every six-point schedule has the
     same lattice.  At a break point (receiver at 3, F at most 2) the mass
     is split into fresh mXY and mXY_seen (a break point was faced
-    earlier).  At each point a..d are the masses that F winning it moves
-    out of each state; the rest (m - a, not m * (1 - p)) moves when F
-    loses it.  The operations and their order are those of
-    `dict_lattice` in tests/test_engine.py: F reaching 4, the interior
-    states, then break points, fresh before seen.  Accumulators sum left
-    to right (`len_sum = len_sum + a + b`, never `len_sum += a + b`), so
-    every field is bit-identical to that reference.
+    earlier).  fXY is the mass that F winning the next point moves out of
+    X:Y, and the rest (mXY - fXY, not mXY * (1 - p)) moves when F loses
+    it; a state that only F's wins reach holds an fXY, so it gets no mXY
+    of its own (m10 is p0, m20 f10, m30 f20, m13_seen f03).  These are the
+    same operations on the same operands as `dict_lattice` in
+    tests/test_engine.py, and every sum adds its terms left to right, as
+    that reference accumulates them, so every field is bit-identical to it.
     """
     if not sched.prefix:
         # a deuce-type game starts level, before any break point
         return _LEVEL_START
     p0, p1, p2, p3, p4, p5 = sched._pick_prefix(pick)
     # points 1-3 decide nothing
-    m10, m01 = p0, 1.0 - p0
-    a, b = m10 * p1, m01 * p1
-    m20, m11, m02 = a, (m10 - a) + b, m01 - b
-    a, b, c = m20 * p2, m11 * p2, m02 * p2
-    m30, m21, m12, m03 = a, (m20 - a) + b, (m11 - b) + c, m02 - c
+    m01 = 1.0 - p0
+    f10, f01 = p0 * p1, m01 * p1
+    m11, m02 = (p0 - f10) + f01, m01 - f01
+    f20, f11, f02 = f10 * p2, m11 * p2, m02 * p2
+    m21, m12, m03 = (f10 - f20) + f11, (m11 - f11) + f02, m02 - f02
     # point 4: F wins from 3:0, or loses the break point at 0:3
-    a, b, c, d = m30 * p3, m21 * p3, m12 * p3, m03 * p3
-    win, len_sum = a, 4.0 * a + 4.0 * (m03 - d)
-    bp_visits = bp_first = m03
-    m31, m22, m13, m13_seen = (m30 - a) + b, (m21 - b) + c, m12 - c, d
+    f30, f21, f12 = f20 * p3, m21 * p3, m12 * p3
+    f03 = m03 * p3
+    m31, m22, m13 = (f20 - f30) + f21, (m21 - f21) + f12, m12 - f12
     # point 5: F wins from 3:1, or loses a break point at 1:3
-    a, b, c, d = m31 * p4, m22 * p4, m13 * p4, m13_seen * p4
-    lost, lost_seen = m13 - c, m13_seen - d
-    win += a
-    len_sum = len_sum + 5.0 * a + 5.0 * lost + 5.0 * lost_seen
-    bp_visits = bp_visits + m13 + m13_seen
-    bp_first += m13
-    m32, m23, m23_seen = (m31 - a) + b, m22 - b, c + d
+    f31, f22, f13 = m31 * p4, m22 * p4, m13 * p4
+    f13_seen = f03 * p4
+    m32, m23, m23_seen = (m31 - f31) + f22, m22 - f22, f13 + f13_seen
     # point 6: F wins from 3:2, or loses a break point at 2:3; the rest
     # is level at 3:3
-    a, c, d = m32 * p5, m23 * p5, m23_seen * p5
-    lost, lost_seen = m23 - c, m23_seen - d
-    win += a
-    len_sum = len_sum + 6.0 * a + 6.0 * lost + 6.0 * lost_seen
-    bp_visits = bp_visits + m23 + m23_seen
-    bp_first += m23
-    return win, len_sum, bp_first, bp_visits, m32 - a, c + d
+    f32, f23, f23_seen = m32 * p5, m23 * p5, m23_seen * p5
+    len_sum = (4.0 * f30 + 4.0 * (m03 - f03)
+               + 5.0 * f31 + 5.0 * (m13 - f13) + 5.0 * (f03 - f13_seen)
+               + 6.0 * f32 + 6.0 * (m23 - f23) + 6.0 * (m23_seen - f23_seen))
+    bp_first = m03 + m13  # the break points first faced at points 4 and 5
+    return (f30 + f31 + f32, len_sum, bp_first + m23,
+            bp_first + f03 + m23 + m23_seen, m32 - f32, f23 + f23_seen)
 
 
 def metrics_exact(sched: ServeSchedule, prof: ServeProfile) -> GameMetrics:
@@ -147,9 +141,9 @@ def metrics_exact(sched: ServeSchedule, prof: ServeProfile) -> GameMetrics:
     pick = (float(prof.p_f), float(prof.p_s))
     a, b = sched._pick_ends(pick)
     c_win, c_len, c_bp_indicator, c_bp_count = _closure(a, b)
-    win, len_sum, bp_first, bp_visits, tie_clean, tie_seen = _lattice(sched, pick)
+    won, len_sum, bp_first, bp_visits, tie_clean, tie_seen = _lattice(sched, pick)
     tie_total = tie_clean + tie_seen
-    win = win + tie_total * c_win
+    win = won + tie_total * c_win
     # a prefix is empty or six points long
     points = len_sum + tie_total * ((6.0 if sched.prefix else 0.0) + c_len)
     # tuple.__new__ is what GameMetrics._make calls

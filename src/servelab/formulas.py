@@ -152,20 +152,26 @@ def e_bp_T(p: float) -> float:
 # their bracket and terms add left to right: that grouping fixes every float
 # operation, so regrouping would change results in the last place.
 #
-# A subexpression that any form here evaluates more than once, identical as
-# a tree (same operands, same left-to-right grouping), is evaluated once
-# into a local.  ps2 is ps**2, and a product's local names its factors left
-# to right: ps2_qs is ps2 * qs.  `**` stays `**`, since x**3 and x * x * x
-# can differ in the last place.  _tie_mass takes the powers and products
-# its caller has already formed.  Locals are assigned at most three at a
-# time, which builds no tuple.
+# The arithmetic rules of the exact path, here and in engine.py:
 #
-# Coefficients are float literals (9.0, not 9).  CPython specializes float
-# arithmetic only when both operands are floats, so an int coefficient sends
-# its operation down the generic path.  float arithmetic converts an int
-# operand to a double first, and every coefficient is below 2**53, so the
-# conversion is exact and 9 * x and 9.0 * x give the same bits.  `**`
-# exponents stay ints.
+# - A subexpression that a function evaluates more than once, identical as
+#   a tree (same operands, same left-to-right grouping), is evaluated once
+#   into a local.  ps2 is ps**2, and a product's local names its factors
+#   left to right: ps2_qs is ps2 * qs.  `**` stays `**`, since x**3 and
+#   x * x * x can differ in the last place.  _tie_mass takes the powers and
+#   products its caller has already formed.
+# - Each local is assigned once, so a repeated tree is a repeated value.
+# - One statement assigns at most three names: CPython stores up to three
+#   values straight off its stack, but builds and unpacks a tuple for four.
+# - Coefficients are float literals (9.0, not 9).  CPython specializes float
+#   arithmetic only when both operands are floats, so an int coefficient
+#   sends its operation down the generic path.  float arithmetic converts an
+#   int operand to a double first, and every coefficient is below 2**53, so
+#   the conversion is exact and 9 * x and 9.0 * x give the same bits.  `**`
+#   exponents stay ints.
+#
+# tests/test_engine.py checks each rule but the naming on every function of
+# the exact path.
 
 
 def _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3):

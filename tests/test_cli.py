@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from servelab import formulas
 from servelab.atp import sample_path
 from servelab.cli import main
 from servelab.errors import ServelabError
+from servelab.shaping import CompareRow
 from servelab.types import RuleKind
 
 HEADER = "rank,name,p_f_in,p_f_won,p_s_won,p_t_won"
@@ -431,6 +433,21 @@ class TestCompare:
         doc = json.loads(out)
         assert doc["x"] == 3
         assert len(doc["rows"]) == 6
+
+    @pytest.mark.parametrize("flags, digest", [
+        ((), "a3cbd2d9c1e6d0bd32ea68a4ca3c52826564338b26b69ff528e8e609e625c88d"),
+        (("--json",), "f9165cc827b56fbff288fe66d3cee93a70a380eb8e252dcfd1edbc80168a0b23"),
+    ], ids=["csv", "json"])
+    def test_builds_only_its_output(self, capsys, monkeypatch, flags, digest):
+        # the CSV output builds no row dict; both outputs keep their bytes
+        if not flags:
+            def refuse(row):
+                raise AssertionError("CSV output built a row dict")
+
+            monkeypatch.setattr(CompareRow, "_asdict", refuse)
+        code, out, err = run(capsys, "compare", SAMPLE, *flags)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bad_cutoff(self, capsys):
         code, _, _ = run(capsys, "compare", SAMPLE, "--x", "9")

@@ -813,6 +813,43 @@ class TestFloatFastPath:
         assert _int_operands(fn) == []
 
 
+def _rule_breaks(fn) -> list[str]:
+    """Where fn breaks the arithmetic rules stated above formulas._tie_mass:
+    more than three names bound from one tuple display, a local (parameters
+    included) assigned twice, or an identical BinOp tree evaluated twice."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    found = []
+    bound = set()
+    trees = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            names = [node.arg]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names = [node.id]
+        else:
+            names = []
+        for name in names:
+            if name in bound:
+                found.append(f"{name} assigned twice")
+            bound.add(name)
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+                and any(isinstance(t, ast.Tuple) and len(t.elts) > 3 for t in node.targets)):
+            found.append(f"tuple binding {ast.unparse(node)}")
+        if isinstance(node, ast.BinOp):
+            dump = ast.dump(node)
+            if dump in trees:
+                found.append(f"{ast.unparse(node)} evaluated twice")
+            trees.add(dump)
+    return found
+
+
+class TestArithmeticRules:
+    # each local assigned once, so a repeated tree is a repeated value
+    @pytest.mark.parametrize("fn", _FLOAT_PATH, ids=lambda fn: fn.__qualname__)
+    def test_each_value_evaluated_once(self, fn):
+        assert _rule_breaks(fn) == []
+
+
 def walk_oracle(n, p):
     """Exact rational solve of the absorbing-walk expectation system."""
     pr = Fraction(p)
