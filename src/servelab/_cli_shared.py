@@ -38,9 +38,15 @@ def _defined(metrics) -> list:
     return [(n, getattr(metrics, n)) for n in _METRIC_ORDER if getattr(metrics, n) is not None]
 
 
-def _write_stdout(text: str) -> None:
-    """Write text to stdout and flush it, so a closed pipe shows here."""
+def _write_stdout(text: str, doc=None) -> None:
+    """Write text to stdout, after doc as indented JSON unless doc is None,
+    and flush it, so a closed pipe shows here.  The JSON is written as it is
+    encoded, so no copy of the whole document is held."""
     try:
+        if doc is not None:
+            import json
+
+            json.dump(doc, sys.stdout, indent=2)
         sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
@@ -50,8 +56,6 @@ def _write_stdout(text: str) -> None:
 def _emit(args, doc, lines: list[str]) -> None:
     """Print a command's result: `doc` as JSON under --json, else its CSV lines."""
     if args.json:
-        import json
-
-        _write_stdout(json.dumps(doc, indent=2) + "\n")
+        _write_stdout("\n", doc)
     else:
         _write_stdout("\n".join(lines) + "\n")

@@ -27,21 +27,17 @@ def cmd_fit(args) -> None:
     from .atp import fit_report
 
     fit_rows, summary = fit_report(_stats_rows(args.csv))
-    rows = [
-        {
-            "rank": r.stats.rank,
-            "name": r.stats.name,
-            "p_emp": r.p_emp,
-            "predicted": r.predicted,
-            "observed": r.stats.p_t_won,
-            "residual": r.residual,
-        }
-        for r in fit_rows
-    ]
-    _emit(args, {"rows": rows, "summary": summary._asdict()}, [
-        ",".join(rows[0]),
-        *(f"{r['rank']},{_csv_field(r['name'])},{_fmt(r['p_emp'])},{_fmt(r['predicted'])},"
-          f"{_fmt(r['observed'])},{r['residual']:+.6f}" for r in rows),
+    # a table may hold 100,000 rows, so build only the output asked for
+    if args.json:
+        rows = [{"rank": r.stats.rank, "name": r.stats.name, "p_emp": r.p_emp,
+                 "predicted": r.predicted, "observed": r.stats.p_t_won,
+                 "residual": r.residual} for r in fit_rows]
+        _emit(args, {"rows": rows, "summary": summary._asdict()}, [])
+        return
+    _emit(args, None, [
+        "rank,name,p_emp,predicted,observed,residual",
+        *(f"{r.stats.rank},{_csv_field(r.stats.name)},{_fmt(r.p_emp)},{_fmt(r.predicted)},"
+          f"{_fmt(r.stats.p_t_won)},{r.residual:+.6f}" for r in fit_rows),
         f"# rows {summary.n_rows}",
         f"# max_abs_residual {summary.max_abs_residual:.6f}",
         f"# mean_residual {summary.mean_residual:+.6f}",

@@ -25,7 +25,8 @@ by one point per step:
   stop costing the full width.  Each lane is labelled with one byte, the
   number of its state or 0 once its game has finished: one compress pass
   over the slots picks the live ones, and bytes.translate reads each
-  re-packed lane set off the labels of the live lanes.
+  re-packed lane set off the labels of the live lanes.  A step with more
+  live states than one byte can name is played at full width instead.
 - Chunks of CHUNK games bound the size of every packed int.  A batch
   builds its per-slot constants once, for its first chunk, and a
   narrower width (a short last chunk, or a re-pack) cuts them down.
@@ -49,11 +50,10 @@ _SLOT_BYTES = _SLOT // 8
 # so peak memory does not grow with the batch
 CHUNK = 2048
 # _compact reads the slots of a packed int _BLOCK at a time, so that one
-# Struct serves every width, and numbers the states _LABELS at a time
+# Struct serves every width, and labels at most _LABELS states, one byte each
 _BLOCK = 64
 _BLOCK_SLOTS = struct.Struct(f"{_SLOT_BYTES}s" * _BLOCK)
-_LABELS = 254
-_OTHER = 255
+_LABELS = 255
 # _SPIKE[255 - n:511 - n] maps label n to 1 and every other label to 0
 _SPIKE = bytes(255) + b"\1" + bytes(255)
 
@@ -178,7 +178,7 @@ def _play_lanes(ctr, width, consts, probs, n_prefix, count_bp, max_points):
     states = {(0, 0, 0) if n_prefix else (3, 3, 0): int.from_bytes(b"\1" * width, "little")}
     cyc = probs[n_prefix:]
     for k in range(max_points):
-        if live * 2 <= width:
+        if live * 2 <= width and len(states) <= _LABELS:
             ctr, states = _compact(ctr, width, states)
             width = live
             low, step, offset = _truncate((low, step, offset), width)
@@ -227,23 +227,21 @@ def _compact(ctr, width, states):
     Each lane gets a one-byte label: 0 once its game has finished, else
     the number of its state, so one compress pass over the slots picks
     the live ones, and one translate per state rebuilds its lane set from
-    the labels of the live lanes.  States are labelled _LABELS at a time,
-    and a live lane of another group's state is labelled _OTHER.
+    the labels of the live lanes.  _play_lanes passes at most _LABELS
+    states and otherwise waits, which changes no sum since a re-pack only
+    moves lanes.  No game comes near that: Bj and B count no break points,
+    so they have at most 18 states.  A, T and C have a one-point deuce
+    cycle: two points from deuce end the game with chance p*p + q*q >= 1/2,
+    and over 255 states (3 scores a count) needs over 85 distinct
+    break-point counts among the live lanes, a game past about 80 returns
+    to deuce, with chance below 2**-80.
     """
-    every = sum(states.values())  # 1 in the byte of each live lane
-    items = list(states.items())
-    packed = {}
-    for g in range(0, len(items), _LABELS):
-        group = items[g:g + _LABELS]
-        # n in the bytes of the group's n-th state, _OTHER in those of the
-        # other live lanes, 0 in those of finished lanes
-        labels = every * _OTHER + sum([lanes * (n - _OTHER)
-                                       for n, (_, lanes) in enumerate(group, 1)])
-        labels = labels.to_bytes(width, "little")
-        picked = labels.translate(None, b"\0")
-        for n, (key, _) in enumerate(group, 1):
-            pick = _SPIKE[255 - n:511 - n]
-            packed[key] = int.from_bytes(picked.translate(pick), "little")
+    # n in the bytes of the n-th state's lanes, 0 in those of finished lanes
+    labels = sum([lanes * n for n, lanes in enumerate(states.values(), 1)])
+    labels = labels.to_bytes(width, "little")
+    picked = labels.translate(None, b"\0")
+    packed = {key: int.from_bytes(picked.translate(_SPIKE[255 - n:511 - n]), "little")
+              for n, key in enumerate(states, 1)}
     slots = chain.from_iterable(_BLOCK_SLOTS.iter_unpack(
         ctr.to_bytes(-(-width // _BLOCK) * _BLOCK * _SLOT_BYTES, "little")))
     return int.from_bytes(b"".join(compress(slots, labels)), "little"), packed

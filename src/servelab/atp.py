@@ -43,10 +43,10 @@ class PlayerStats(NamedTuple):
 _HEADER = PlayerStats._fields  # a stats file's columns, in order
 _RATE_FIELDS = _HEADER[2:]
 # Largest stats source read, in bytes: 4 MiB, about 100,000 rows, 50 times
-# a table of every ranked ATP player.  A command holds 17-35 times its
-# table in memory, up to 97 times under --json: a 4 MiB table of 113,242
-# rows took `shape` 73 MB, `fit` 123 MB and `compare` 148 MB (peak RSS,
-# 0.5-3.2 s), and under --json `fit` 269 MB and `compare` 405 MB (1.9-4.6 s).
+# a table of every ranked ATP player.  A command holds 16-31 times its
+# table in memory, under --json too: a 4 MiB table of 98,057 rows took
+# `shape` 67 MB, `fit` 84 MB and `compare` 130 MB (the process's VmHWM,
+# 0.4-2.9 s), and under --json `fit` 89 MB and `compare` 116 MB (1.4-3.6 s).
 _MAX_SOURCE_BYTES = 4 * 2**20
 
 

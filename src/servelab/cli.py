@@ -129,7 +129,9 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 def main(argv=None) -> int:
     """Run one subcommand; the exit code says how it ended (0, 2, 3 or 4).
     A refusal is one line on stderr, its message cut to its ends and its
-    length when longer than _MESSAGE_MAX characters."""
+    length when longer than _MESSAGE_MAX characters.  A stdout whose
+    reader has gone is code 0, and main() leaves the caller's descriptors
+    as they are (entrypoint swallows the closed pipe at its last flush)."""
     if argv is None:
         argv = sys.argv[1:]
     try:
@@ -147,12 +149,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     except _UsageError as exc:
         code, prefix, message = 2, "usage error", str(exc)
-    except _StdoutClosed:
-        # the reader ended the read on purpose; point stdout at the null
-        # device so that the interpreter's last flush cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except _StdoutClosed:  # the reader ended the read on purpose
         return 0
     except ConsistencyError as exc:
         code, prefix, message = 4, "error", str(exc)

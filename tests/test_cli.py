@@ -276,6 +276,15 @@ class TestFit:
         assert doc["summary"]["n_rows"] == 6
         assert doc["summary"]["max_abs_residual"] < 0.02
 
+    @pytest.mark.parametrize("flags, digest", [
+        ((), "601f3013bb65ba64a22b88317b466d0d5903290f166ab13a3083b0a78744e008"),
+        (("--json",), "d2926148ab2d57f8c5a30b6a2f6c69aefaf56a48a3c70699ce0aeaa2b1e0a8f0"),
+    ], ids=["csv", "json"])
+    def test_output_bytes(self, capsys, flags, digest):
+        code, out, err = run(capsys, "fit", SAMPLE, *flags)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_header_only_file(self, capsys, tmp_path):
         f = tmp_path / "empty.csv"
         f.write_text(HEADER + "\n", encoding="utf-8")
@@ -834,6 +843,25 @@ class TestCommandProcess:
     def test_output_lost_on_a_full_device_is_a_data_error(self, argv, err):
         with open("/dev/full", "w") as full:
             assert _command(*argv, stdout=full)[::2] == (3, err)
+
+    def test_main_leaves_a_closed_stdout_pipe_in_place(self):
+        # a library caller's stdout is a pipe whose reader has gone: main()
+        # ends with code 0 and does not repoint the caller's descriptor
+        script = (
+            "import os, stat, sys\n"
+            "from servelab.cli import main\n"
+            "code = main(['eval', '--game', 'T', '--p', '0.6'])\n"
+            "fifo = stat.S_ISFIFO(os.fstat(sys.stdout.fileno()).st_mode)\n"
+            "print(code, fifo, file=sys.stderr, flush=True)\n"
+            "os._exit(0)\n"
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, _, err = _command(script=script, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (code, err) == (0, "0 True\n")
 
     def test_closed_stdout_descriptor_keeps_the_code(self):
         # a process started without descriptor 1 has no sys.stdout to flush

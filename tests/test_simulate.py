@@ -181,11 +181,28 @@ class TestKernelParity:
         assert tuple(got) == per_game_sums(sched, prof, 31, 0, n, max_deuce_cycles=1000)
         assert len(most_bps) >= 6 and min(most_bps) > 0
 
-    @pytest.mark.parametrize("n_states", [1, 254, 255, 300])
+    def test_repack_waits_while_labels_run_out(self, kernel, monkeypatch):
+        # with 3 labels a re-pack waits for a step with at most 3 live
+        # states, and the sums do not change
+        sched, prof, n = rule_t(), ServeProfile(0.5, 0.5), 2 * _CHUNK + 3
+        n_states, real_compact = [], kernel._compact
+
+        def compact(ctr, width, states):
+            n_states.append(len(states))
+            return real_compact(ctr, width, states)
+
+        monkeypatch.setattr(kernel, "_LABELS", 3)
+        monkeypatch.setattr(kernel, "_compact", compact)
+        got = kernel.run_batch(31, 0, n, sched.prefix_probs(prof),
+                               sched.cycle_probs(prof), sched.all_f_served, 1000)
+        assert tuple(got) == per_game_sums(sched, prof, 31, 0, n, max_deuce_cycles=1000)
+        assert n_states and max(n_states) <= 3
+
+    @pytest.mark.parametrize("n_states", [1, 254, 255])
     def test_compaction_matches_a_plain_repack(self, kernel, n_states):
-        # 254, 255 and 300 states reach and pass what one label byte can
-        # name (255 values besides a finished lane's 0); a tenth of the
-        # lanes have finished
+        # 254 and 255 states reach what one label byte can name (255
+        # values besides a finished lane's 0); a tenth of the lanes have
+        # finished
         rng = random.Random(n_states)
         width = 3 * n_states + 7
         counters = [rng.getrandbits(64) for _ in range(width)]
