@@ -11,6 +11,7 @@ its classes, which main() would not catch.
 from __future__ import annotations
 
 import sys
+from itertools import islice
 
 _METRIC_ORDER = ("win_prob", "bp_prob", "expected_points", "expected_bps")
 _MAX_SWEEP_POINTS = 100_001  # step 1e-5 over [0, 1]
@@ -19,6 +20,9 @@ _MAX_SIM_GAMES = 10**8  # about a minute of simulate at 1.5-1.8M games/s on two 
 # about 1.5 minutes at the 10-11M draws/s two CPUs play, and above every --n
 # for a game of at most 10 expected points (6.75 at p = 0.5)
 _MAX_SIM_DRAWS = 10**9
+# CSV lines joined into one write: a 100,000-row table's output is not held
+# whole, and a write is a syscall under PYTHONUNBUFFERED=1, so not one a line
+_CHUNK_LINES = 4096
 
 
 class _UsageError(Exception):
@@ -53,9 +57,12 @@ def _write_stdout(text: str, doc=None) -> None:
         raise _StdoutClosed from None
 
 
-def _emit(args, doc, lines: list[str]) -> None:
-    """Print a command's result: `doc` as JSON under --json, else its CSV lines."""
+def _emit(args, doc, lines) -> None:
+    """Print a command's result: `doc` as JSON under --json, else its CSV
+    lines (an iterable of str), joined and written _CHUNK_LINES at a time."""
     if args.json:
         _write_stdout("\n", doc)
-    else:
-        _write_stdout("\n".join(lines) + "\n")
+        return
+    lines = iter(lines)
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        _write_stdout("\n".join(chunk) + "\n")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 from ._cli_shared import _UsageError, _emit, _fmt
 from .errors import ServelabError, _shown
 
@@ -27,22 +29,23 @@ def cmd_fit(args) -> None:
     from .atp import fit_report
 
     fit_rows, summary = fit_report(_stats_rows(args.csv))
-    # a table may hold 100,000 rows, so build only the output asked for
+    # a table may hold 100,000 rows, so build only the output asked for, and
+    # the CSV lines as they are written
     if args.json:
         rows = [{"rank": r.stats.rank, "name": r.stats.name, "p_emp": r.p_emp,
                  "predicted": r.predicted, "observed": r.stats.p_t_won,
                  "residual": r.residual} for r in fit_rows]
         _emit(args, {"rows": rows, "summary": summary._asdict()}, [])
         return
-    _emit(args, None, [
-        "rank,name,p_emp,predicted,observed,residual",
-        *(f"{r.stats.rank},{_csv_field(r.stats.name)},{_fmt(r.p_emp)},{_fmt(r.predicted)},"
-          f"{_fmt(r.stats.p_t_won)},{r.residual:+.6f}" for r in fit_rows),
-        f"# rows {summary.n_rows}",
-        f"# max_abs_residual {summary.max_abs_residual:.6f}",
-        f"# mean_residual {summary.mean_residual:+.6f}",
-        f"# nonpositive_residuals {summary.nonpositive_count} of {summary.n_rows}",
-    ])
+    _emit(args, None, chain(
+        ["rank,name,p_emp,predicted,observed,residual"],
+        (f"{r.stats.rank},{_csv_field(r.stats.name)},{_fmt(r.p_emp)},{_fmt(r.predicted)},"
+         f"{_fmt(r.stats.p_t_won)},{r.residual:+.6f}" for r in fit_rows),
+        [f"# rows {summary.n_rows}",
+         f"# max_abs_residual {summary.max_abs_residual:.6f}",
+         f"# mean_residual {summary.mean_residual:+.6f}",
+         f"# nonpositive_residuals {summary.nonpositive_count} of {summary.n_rows}"],
+    ))
 
 
 def _find_player(rows, selector: str):
@@ -81,13 +84,14 @@ def cmd_compare(args) -> None:
     from .shaping import CompareRow, compare_table
 
     table = compare_table(_stats_rows(args.csv), args.x)
-    # a table may hold 100,000 rows, so build only the output asked for
+    # a table may hold 100,000 rows, so build only the output asked for, and
+    # the CSV lines as they are written
     if args.json:
         _emit(args, {"x": args.x, "rows": [r._asdict() for r in table]}, [])
         return
-    _emit(args, None, [
-        ",".join(CompareRow._fields),
-        *(f"{r.rank}," + ",".join(_fmt(v) for v in r[1:]) for r in table),
-        "# 3-decimal view",
-        *(f"# {r.rank}," + ",".join(_fmt(v, ".3f") for v in r[1:]) for r in table),
-    ])
+    _emit(args, None, chain(
+        [",".join(CompareRow._fields)],
+        (f"{r.rank}," + ",".join(_fmt(v) for v in r[1:]) for r in table),
+        ["# 3-decimal view"],
+        (f"# {r.rank}," + ",".join(_fmt(v, ".3f") for v in r[1:]) for r in table),
+    ))

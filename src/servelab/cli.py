@@ -9,21 +9,24 @@ error, 4 internal consistency failure, 130 interrupted (Ctrl-C).
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import os
 import sys
 import warnings
 from importlib import import_module
+from types import SimpleNamespace
 
-# This module holds the parser and the exit codes.  Each subcommand runs in
-# its family's handler module (_cli_game, _cli_sweep or _cli_stats), which
-# main imports for the one subcommand a process runs, and each handler
-# imports the library modules it runs.  Without a bytecode cache a process
-# compiles every module it imports, so the rule is: a command compiles only
-# its family's module, and a new subcommand gets a module of its own, which
-# slows no other command.  A handler imports _cli_shared, never this module,
-# which runs as __main__ under `python -m servelab.cli`.
+# This module holds the argument declarations, the parsers and the exit
+# codes.  Each subcommand runs in its family's handler module (_cli_game,
+# _cli_sweep or _cli_stats), which main imports for the one subcommand a
+# process runs, and each handler imports the library modules it runs.
+# Without a bytecode cache a process compiles every module it imports, so
+# the rule is: a command compiles only its family's module, and a new
+# subcommand gets a module of its own, which slows no other command.  A
+# handler imports _cli_shared, never this module, which runs as __main__
+# under `python -m servelab.cli`.  argparse is imported only by
+# build_parser and by a refused value: a plain argv never loads it, and
+# argparse words every refusal and prints every help.
 from . import mc_backend
 from ._cli_shared import _MAX_SIM_GAMES, _StdoutClosed, _UsageError
 from .errors import ConsistencyError, RangeError, ServelabError, _clipped, _int_text, _shown
@@ -44,27 +47,27 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # route argparse failures to exit code 2
-        raise _UsageError(message)
-
-
 def _within(parse, lo, hi):
-    """The argparse type of a numeric flag, which states its range where it
-    is declared: text read by parse (float, or errors._int_text for a
-    decimal integer) and refused outside [lo, hi]."""
+    """The type of a numeric flag, which states its range where it is
+    declared: text read by parse (float, or errors._int_text for a decimal
+    integer) and refused outside [lo, hi] with argparse's
+    ArgumentTypeError, which only a refusal imports."""
     noun = "a number" if parse is float else "an integer"
 
     def check(text: str):
         try:
             v = parse(text)
         except RangeError as exc:  # a well-formed integer too long for int()
-            raise argparse.ArgumentTypeError(str(exc))
+            message = str(exc)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not {noun}: {_shown(text)}")
-        if not lo <= v <= hi:
-            raise argparse.ArgumentTypeError(f"must lie in [{lo}, {hi}], got {v}")
-        return v
+            message = f"not {noun}: {_shown(text)}"
+        else:
+            if lo <= v <= hi:
+                return v
+            message = f"must lie in [{lo}, {hi}], got {v}"
+        import argparse
+
+        raise argparse.ArgumentTypeError(message)
 
     return check
 
@@ -74,8 +77,9 @@ _cutoff = _within(_int_text, CUTOFFS[0], CUTOFFS[-1])
 _CUTOFF_HELP = f"single-serve cutoff for game C, {CUTOFFS[0]}..{CUTOFFS[-1]} (default 3)"
 
 
-def _add_arguments(name: str, p: argparse.ArgumentParser) -> None:
-    """Declare subcommand name's arguments on its parser p."""
+def _add_arguments(name: str, p) -> None:
+    """Declare subcommand name's arguments on p: its argparse parser, or
+    the _Declared table that the plain parse reads."""
     if name in ("eval", "simulate"):
         p.add_argument("--game", required=True, choices=[k.value for k in RuleKind])
         p.add_argument("--p", type=_prob, help="per-point chance for A/T games")
@@ -109,16 +113,73 @@ def _add_arguments(name: str, p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true")
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The servelab parser, or, given a subcommand's name, the parser with
-    that subcommand alone, which parses an argv that starts with the name
-    (and prints its --help) as the full parser does."""
+def build_parser(command: str | None = None):
+    """The servelab argparse parser, or, given a subcommand's name, the
+    parser with that subcommand alone, which parses an argv that starts with
+    the name (and prints its --help) as the full parser does."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # route argparse failures to exit code 2
+            raise _UsageError(message)
+
     parser = _Parser(prog="servelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     for name, (help_line, _) in _COMMANDS.items():
         if command in (None, name):
             _add_arguments(name, sub.add_parser(name, help=help_line))
     return parser
+
+
+class _Declared(dict):
+    """A subcommand's arguments as _add_arguments declares them: the
+    keywords of each, by option string (or positional name)."""
+
+    def add_argument(self, flag, **kw):
+        self[flag] = kw
+
+
+def _plain_args(command: str, tokens):
+    """The namespace argparse would make of [command, *tokens], when every
+    token is plain: one of command's option strings, as written, then its
+    value unless it is a store_true flag, or command's positional.  A value
+    or positional that starts with "-" (other than "-" itself) is not plain.
+    Returns None for any other argv, and for one that argparse would refuse
+    (a value its type or choices refuse, a required argument missing), so
+    that argparse parses it: --help, an abbreviation, --flag=value, "--",
+    and every refusal and its message stay argparse's."""
+    declared = _Declared()
+    _add_arguments(command, declared)
+    positionals = [flag for flag in declared if not flag.startswith("-")]
+    missing = {flag for flag, kw in declared.items() if kw.get("required")} | set(positionals)
+    values = {flag: kw.get("default", False if kw.get("action") == "store_true" else None)
+              for flag, kw in declared.items() if flag.startswith("-")}
+    tokens = iter(tokens)
+    for token in tokens:
+        kw = declared.get(token) if token.startswith("-") else None
+        if kw is None:  # the positional, given once
+            if not positionals or (token.startswith("-") and token != "-"):
+                return None
+            flag, value = positionals.pop(), token
+        elif kw.get("action") == "store_true":
+            flag, value = token, True
+        else:
+            flag, value = token, next(tokens, None)
+            if value is None or (value.startswith("-") and value != "-"):
+                return None
+            if "type" in kw:
+                try:
+                    value = kw["type"](value)
+                except Exception:  # argparse calls the type again and refuses or raises
+                    return None
+            if "choices" in kw and value not in kw["choices"]:
+                return None
+        values[flag] = value
+        missing.discard(flag)
+    if missing:
+        return None
+    return SimpleNamespace(command=command,
+                           **{f.lstrip("-").replace("-", "_"): v for f, v in values.items()})
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None):
@@ -135,8 +196,11 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        # a process runs one subcommand, so it declares only that one's arguments
-        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        # a process runs one subcommand, so it declares only that one's
+        # arguments; a plain argv is parsed without argparse
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = ((command and _plain_args(command, argv[1:]))
+                or build_parser(command).parse_args(argv))
         if args.command is None:
             raise _UsageError("a subcommand is required (see --help)")
         module = import_module(f".{_COMMANDS[args.command][1]}", __package__)

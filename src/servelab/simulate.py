@@ -55,7 +55,6 @@ from __future__ import annotations
 import atexit
 import marshal
 import os
-import signal
 import threading
 from math import sqrt
 from typing import NamedTuple
@@ -309,6 +308,8 @@ def _drop(worker: tuple) -> None:
     if worker not in _workers:
         return
     _workers.remove(worker)
+    import signal  # only a kill needs it
+
     pid, to_worker, from_worker = worker
     try:
         os.kill(pid, signal.SIGKILL)

@@ -3,8 +3,6 @@ beyond axes, ticks, series colors and a legend."""
 
 from __future__ import annotations
 
-from html import escape
-
 from .errors import RangeError
 
 __all__ = ["polyline_chart"]
@@ -32,6 +30,12 @@ def _bounds(series):
     if y1 - y0 == 0:
         y0, y1 = y0 - 0.5, y1 + 0.5
     return x0, x1, y0, y1
+
+
+def _escape(text: str) -> str:
+    """text as SVG character data, as html.escape(text, quote=False) gives
+    it, without importing html and its table of entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:
@@ -63,7 +67,7 @@ def polyline_chart(series, title: str = "", x_label: str = "", y_label: str = ""
     if title:
         out.append(
             f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{escape(title, quote=False)}</text>'
+            f'font-family="sans-serif" font-size="13">{_escape(title)}</text>'
         )
     # axes
     ax_y = _MARGIN_T + ph
@@ -97,14 +101,14 @@ def polyline_chart(series, title: str = "", x_label: str = "", y_label: str = ""
     if x_label:
         out.append(
             f'<text x="{_MARGIN_L + pw / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{escape(x_label, quote=False)}</text>'
+            f'font-family="sans-serif" font-size="11">{_escape(x_label)}</text>'
         )
     if y_label:
         cx, cy = 14, _MARGIN_T + ph / 2
         out.append(
             f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11" '
-            f'transform="rotate(-90 {cx} {cy:.1f})">{escape(y_label, quote=False)}</text>'
+            f'transform="rotate(-90 {cx} {cy:.1f})">{_escape(y_label)}</text>'
         )
     # series
     for i, (label, pts) in enumerate(series):
@@ -124,7 +128,7 @@ def polyline_chart(series, title: str = "", x_label: str = "", y_label: str = ""
         )
         out.append(
             f'<text x="{lx + 23}" y="{ly + 3}" font-family="sans-serif" '
-            f'font-size="10">{escape(label, quote=False)}</text>'
+            f'font-size="10">{_escape(label)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out)

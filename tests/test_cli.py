@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import servelab
 import servelab.cli
-from servelab import formulas
+from servelab import _cli_shared, formulas
 from servelab.atp import sample_path
 from servelab.cli import main
 from servelab.errors import ServelabError
@@ -457,6 +457,39 @@ class TestCompare:
         code, out, err = run(capsys, "compare", SAMPLE, *flags)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name, digest, lines", [
+        ("fit", "601f3013bb65ba64a22b88317b466d0d5903290f166ab13a3083b0a78744e008", 11),
+        ("compare", "a3cbd2d9c1e6d0bd32ea68a4ca3c52826564338b26b69ff528e8e609e625c88d", 14),
+    ])
+    def test_csv_is_written_in_chunks(self, capsys, monkeypatch, name, digest, lines):
+        # _CHUNK_LINES lines a write, and the bytes of one whole write
+        writes = []
+        write = _cli_shared._write_stdout
+        monkeypatch.setattr(_cli_shared, "_CHUNK_LINES", 4)
+        monkeypatch.setattr(_cli_shared, "_write_stdout",
+                            lambda text: (writes.append(text.count("\n")), write(text)))
+        code, out, err = run(capsys, name, SAMPLE)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert writes == [4] * (lines // 4) + [lines % 4]
+
+    def test_closed_stdout_pipe_ends_quietly(self, tmp_path):
+        # about 800 kB of CSV in many writes; the reader goes after one line
+        stats = tmp_path / "stats.csv"
+        stats.write_text(HEADER + "\n" + "".join(f"{i},p{i},0.6,0.75,0.5,0.8\n"
+                                                 for i in range(1, 5001)), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(servelab.__file__).parents[1])}
+        proc = subprocess.Popen([sys.executable, "-m", "servelab.cli", "compare", str(stats)],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline().startswith(b"rank,")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, err) == (0, b"")
 
     def test_bad_cutoff(self, capsys):
         code, _, _ = run(capsys, "compare", SAMPLE, "--x", "9")
@@ -1216,6 +1249,122 @@ class TestHelpText:
         full = capsys.readouterr().out
         assert full.startswith("usage: servelab ")
         assert run(capsys, *argv) == (0, full, "")
+
+
+# argvs of the shapes the cli-session benchmark workload runs
+_SESSION = [
+    ["eval", "--game", "A", "--p", "0.613"],
+    ["eval", "--game", "Bj", "--pf", "0.702", "--ps", "0.488"],
+    ["eval", "--game", "T", "--p", "0.613"],
+    ["eval", "--game", "B", "--pf", "0.702", "--ps", "0.488", "--order", "2"],
+    ["eval", "--game", "C", "--pf", "0.702", "--ps", "0.488", "--x", "0"],
+    ["sweep", "--games", "A,Bj,T,B,C", "--var", "p_F", "--start", "0.412", "--stop", "0.912",
+     "--step", "0.01", "--delta", "0.043", "--out", "o.csv", "--svg", "o.svg"],
+    ["fit", SAMPLE],
+    ["compare", SAMPLE, "--x", "6"],
+    ["shape", "stats.csv", "--low", "300", "--high", "1"],
+    ["simulate", "--game", "C", "--pf", "0.7", "--ps", "0.5", "--n", "2000",
+     "--seed", str(2**64 - 1)],
+]
+
+
+def _variant(argv, data):
+    """argv with one option token abbreviated, joined to its value with "=",
+    or with the token after it replaced by one that starts with "-"."""
+    at = [i for i, a in enumerate(argv) if a.startswith("--")]
+    if not at:
+        return argv
+    i = data.draw(st.sampled_from(at))
+    flag, rest = argv[i], argv[i + 1:]
+    kind = data.draw(st.sampled_from(("abbreviate", "join", "dash")))
+    if kind == "abbreviate" and len(flag) > 3:
+        flag = flag[:data.draw(st.integers(3, len(flag) - 1))]
+    elif kind == "join" and rest:
+        flag, rest = f"{flag}={rest[0]}", rest[1:]
+    elif kind == "dash":
+        rest = [data.draw(st.sampled_from(("-", "-1", "-0.5", "-x", "--", "--json", "-h"))),
+                *rest[1:]]
+    return [*argv[:i], flag, *rest]
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where it refuses
+    argv or prints a help."""
+    try:
+        return vars(servelab.cli.build_parser().parse_args(argv))
+    except (_cli_shared._UsageError, SystemExit):
+        return None
+
+
+class TestPlainParse:
+    """main parses a plain argv without argparse, into the namespace
+    argparse makes of it, and leaves every other argv to argparse."""
+
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_agrees_with_argparse(self, capsys, data):
+        paths = st.sampled_from(("x.csv", "-", "", "csv", "a b"))
+        argv = data.draw(_argv(paths, paths, paths))
+        if data.draw(st.booleans()):
+            argv = _variant(argv, data)
+        plain = servelab.cli._plain_args(argv[0], argv[1:])
+        if plain is not None:
+            assert vars(plain) == _argparse_vars(argv), argv
+
+    @pytest.mark.parametrize("argv", [
+        *_SESSION, *([name, *base] for name, base in _VALID.items()),
+        *(shlex.split(cmd) for cmd, _ in _readme_examples()),
+        ["fit", "-", "--json"], ["sweep", "--out", "-", "--games", "", "--step", "1",
+                                 "--stop", "1", "--start", "0", "--var", "p"],
+        ["eval", "--game", "T", "--p", "0.1", "--p", "0.2", "--json", "--json"],
+    ], ids=lambda argv: argv[0])
+    def test_accepts_plain_argv(self, argv):
+        plain = servelab.cli._plain_args(argv[0], argv[1:])
+        assert plain is not None
+        assert vars(plain) == _argparse_vars(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--game", "T", "--p=0.5"], ["eval", "--gam", "T", "--p", "0.5"],
+        ["eval", "--game", "T", "--p", "-0.5"], ["eval", "--game", "T", "--", "--p", "0.5"],
+        ["eval", "--game", "T", "--p", "0.5", "--help"], ["eval", "--game", "Z", "--p", "0.5"],
+        ["eval", "--game", "T", "--p", "2"], ["eval", "--p", "0.5"], ["eval", "--game"],
+        ["fit"], ["fit", "a.csv", "b.csv"], ["fit", "-x"], ["eval", "--game", "T", "extra"],
+        ["shape", "s.csv", "--low", "-x", "--high", "1"],
+        ["sweep", "--games", "A", "--start", "0", "--stop", "1", "--step", "0.5"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_declines_the_rest(self, argv):
+        assert servelab.cli._plain_args(argv[0], argv[1:]) is None
+
+
+def _loaded(argv, tmp_path) -> set:
+    """The modules a `python -m servelab.cli argv` child imports, read from
+    its -X importtime report."""
+    env = {**os.environ, "PYTHONPATH": str(Path(servelab.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "servelab.cli", *argv],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+class TestParserImports:
+    """A plain argv loads no argparse, and no command loads html, nor signal
+    unless it has shard workers to kill; --help and a refusal load argparse."""
+
+    @pytest.mark.parametrize("argv", [
+        *([name, *base] for name, base in _VALID.items()),
+        ["sweep", "--games", "A", "--start", "0.3", "--stop", "0.4", "--step", "0.1",
+         "--out", "o.csv", "--svg", "o.svg"],
+    ], ids=[*_VALID, "sweep-svg"])
+    def test_plain_argv_loads_no_argparse(self, tmp_path, argv):
+        loaded = _loaded(argv, tmp_path)
+        assert "servelab._cli_shared" in loaded  # the report is read
+        assert {"argparse", "html", "signal"} & loaded == set()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"],
+                                      ["eval", "--game", "T", "--p", "2"]])
+    def test_help_and_refusal_load_argparse(self, tmp_path, argv):
+        assert "argparse" in _loaded(argv, tmp_path)
 
 
 # every numeric flag: (subcommand, flag, lo, hi)
