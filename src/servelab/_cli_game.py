@@ -4,9 +4,14 @@ engine, or by Monte Carlo against the engine."""
 from __future__ import annotations
 
 from . import mc_backend
-from ._cli_shared import _MAX_SIM_DRAWS, _UsageError, _defined, _emit, _fmt
+from ._cli_shared import _UsageError, _defined, _emit, _fmt
 from .errors import ConsistencyError, RangeError
 from .types import RuleKind, ServeProfile, ServeSchedule, schedule_for
+
+# draws simulate may expect to make (--n times the expected points per game):
+# about 1.5 minutes at the 10-11M draws/s two CPUs play, and above every --n
+# for a game of at most 10 expected points (6.75 at p = 0.5)
+_MAX_SIM_DRAWS = 10**9
 
 
 def _resolve_game(args) -> tuple[RuleKind, ServeProfile, int, ServeSchedule]:

@@ -1,6 +1,7 @@
-"""What the servelab command's parser (cli.py) and its handler modules
-share: the refusals main() maps to exit codes, the output helpers, and the
-limits the commands keep.
+"""What more than one of the servelab command's modules uses: the refusals
+main() maps to exit codes, which the parser (cli.py) and every handler
+module raise or catch, and the output helpers the handler modules share.
+A name only one module reads lives beside its reader.
 
 A handler module imports this module, never servelab.cli.  Under
 `python -m servelab.cli` that module runs as __main__, so importing it by
@@ -14,12 +15,6 @@ import sys
 from itertools import islice
 
 _METRIC_ORDER = ("win_prob", "bp_prob", "expected_points", "expected_bps")
-_MAX_SWEEP_POINTS = 100_001  # step 1e-5 over [0, 1]
-_MAX_SIM_GAMES = 10**8  # about a minute of simulate at 1.5-1.8M games/s on two CPUs
-# draws simulate may expect to make (--n times the expected points per game):
-# about 1.5 minutes at the 10-11M draws/s two CPUs play, and above every --n
-# for a game of at most 10 expected points (6.75 at p = 0.5)
-_MAX_SIM_DRAWS = 10**9
 # CSV lines joined into one write: a 100,000-row table's output is not held
 # whole, and a write is a syscall under PYTHONUNBUFFERED=1, so not one a line
 _CHUNK_LINES = 4096

@@ -7,9 +7,11 @@ import os
 import stat
 import warnings
 
-from ._cli_shared import _MAX_SWEEP_POINTS, _UsageError, _defined, _fmt, _write_stdout
+from ._cli_shared import _UsageError, _defined, _fmt, _write_stdout
 from .errors import ServelabError, _shown
 from .types import RuleKind, ServeProfile, schedule_for
+
+_MAX_SWEEP_POINTS = 100_001  # step 1e-5 over [0, 1]
 
 
 def _sweep_grid(args) -> list[float]:

@@ -16,35 +16,24 @@ import warnings
 from importlib import import_module
 from types import SimpleNamespace
 
-# This module holds the argument declarations, the parsers and the exit
-# codes.  Each subcommand runs in its family's handler module (_cli_game,
-# _cli_sweep or _cli_stats), which main imports for the one subcommand a
-# process runs, and each handler imports the library modules it runs.
-# Without a bytecode cache a process compiles every module it imports, so
-# the rule is: a command compiles only its family's module, and a new
-# subcommand gets a module of its own, which slows no other command.  A
+# This module holds the subcommand table (_COMMANDS), the two parsers that
+# read it and the exit codes.  main imports the one handler module that
+# runs the command (_cli_game, _cli_sweep or _cli_stats), which imports
+# the library modules it runs.  Without a bytecode cache a process compiles
+# every module it imports, so the rule is: a command compiles only its
+# family's module, and a new subcommand gets a module of its own.  A
 # handler imports _cli_shared, never this module, which runs as __main__
 # under `python -m servelab.cli`.  argparse is imported only by
 # build_parser and by a refused value: a plain argv never loads it, and
 # argparse words every refusal and prints every help.
-from . import mc_backend
-from ._cli_shared import _MAX_SIM_GAMES, _StdoutClosed, _UsageError
+from . import mc_backend  # read by perfbench's setup_s alone (ROADMAP item 1, slice B)
+from ._cli_shared import _StdoutClosed, _UsageError
 from .errors import ConsistencyError, RangeError, ServelabError, _clipped, _int_text, _shown
 from .types import CUTOFFS, ORDERS, RuleKind
 
 __all__ = ["main", "entrypoint"]
 
 _MESSAGE_MAX = 250  # longest refusal printed whole
-
-# subcommand -> (its help line, the module whose cmd_<subcommand> runs it)
-_COMMANDS = {
-    "eval": ("closed-form and engine metrics for one game", "_cli_game"),
-    "sweep": ("metric curves over a probability grid", "_cli_sweep"),
-    "fit": ("model residuals for a stats table", "_cli_stats"),
-    "shape": ("solve the single-serve cutoff", "_cli_stats"),
-    "compare": ("existing-vs-proposed table for a stats file", "_cli_stats"),
-    "simulate": ("Monte Carlo check against the engine", "_cli_game"),
-}
 
 
 def _within(parse, lo, hi):
@@ -75,48 +64,54 @@ def _within(parse, lo, hi):
 _prob = _within(float, 0, 1)
 _cutoff = _within(_int_text, CUTOFFS[0], CUTOFFS[-1])
 _CUTOFF_HELP = f"single-serve cutoff for game C, {CUTOFFS[0]}..{CUTOFFS[-1]} (default 3)"
+_MAX_SIM_GAMES = 10**8  # about a minute of simulate at 1.5-1.8M games/s on two CPUs
+
+# The subcommand table, which both parsers read: subcommand -> (its help
+# line, the module whose cmd_<subcommand> runs it, its arguments in
+# declaration order: add_argument's keywords by option string, or by name
+# for the positional).  eval and simulate share the game flags, and every
+# subcommand but sweep (it writes CSV to --out, never JSON) ends in --json.
+_GAME = {
+    "--game": dict(required=True, choices=[k.value for k in RuleKind]),
+    "--p": dict(type=_prob, help="per-point chance for A/T games"),
+    "--pf": dict(type=_prob, help="full-serve chance for Bj/B/C games"),
+    "--ps": dict(type=_prob, help="single-serve / receiving chance"),
+    "--x": dict(type=_cutoff, help=_CUTOFF_HELP),
+    "--order": dict(type=_within(_int_text, ORDERS[0], ORDERS[-1]),
+                    help=f"serve order variant for Bj/B, {ORDERS[0]} or {ORDERS[-1]} (default 1)"),
+}
+_JSON = {"--json": dict(action="store_true", default=False)}
+_COMMANDS = {
+    "eval": ("closed-form and engine metrics for one game", "_cli_game", {**_GAME, **_JSON}),
+    "sweep": ("metric curves over a probability grid", "_cli_sweep", {
+        "--games": dict(required=True, help="comma list, e.g. A,T"),
+        "--var": dict(choices=("p", "p_F"), default="p"),
+        "--start": dict(type=_prob, required=True),
+        "--stop": dict(type=_prob, required=True),
+        "--step": dict(type=_prob, required=True),
+        "--delta": dict(type=_within(float, 0, 0.5),
+                        help="offset in p_S = 1 - p_F + delta (p_F sweeps)"),
+        "--out": dict(required=True, help="output CSV path, - for stdout"),
+        "--svg": dict(help="optional SVG chart path")}),
+    "fit": ("model residuals for a stats table", "_cli_stats", {"csv": {}, **_JSON}),
+    "shape": ("solve the single-serve cutoff", "_cli_stats", {
+        "csv": {},
+        "--low": dict(required=True, help="weaker player: rank or exact name"),
+        "--high": dict(required=True, help="stronger player: rank or exact name"),
+        **_JSON}),
+    "compare": ("existing-vs-proposed table for a stats file", "_cli_stats",
+                {"csv": {}, "--x": dict(type=_cutoff, default=3, help=_CUTOFF_HELP), **_JSON}),
+    "simulate": ("Monte Carlo check against the engine", "_cli_game", {
+        **_GAME,
+        "--n": dict(type=_within(_int_text, 1, _MAX_SIM_GAMES), default=10_000,
+                    help=f"games to play, at most {_MAX_SIM_GAMES}"),
+        "--seed": dict(type=_within(_int_text, 0, 2**64 - 1), default=0),
+        **_JSON}),
+}
 
 
-def _add_arguments(name: str, p) -> None:
-    """Declare subcommand name's arguments on p: its argparse parser, or
-    the _Declared table that the plain parse reads."""
-    if name in ("eval", "simulate"):
-        p.add_argument("--game", required=True, choices=[k.value for k in RuleKind])
-        p.add_argument("--p", type=_prob, help="per-point chance for A/T games")
-        p.add_argument("--pf", type=_prob, help="full-serve chance for Bj/B/C games")
-        p.add_argument("--ps", type=_prob, help="single-serve / receiving chance")
-        p.add_argument("--x", type=_cutoff, default=None, help=_CUTOFF_HELP)
-        p.add_argument("--order", type=_within(_int_text, ORDERS[0], ORDERS[-1]), default=None,
-                       help=f"serve order variant for Bj/B, {ORDERS[0]} or {ORDERS[-1]} (default 1)")
-    if name == "simulate":
-        p.add_argument("--n", type=_within(_int_text, 1, _MAX_SIM_GAMES), default=10_000,
-                       help=f"games to play, at most {_MAX_SIM_GAMES}")
-        p.add_argument("--seed", type=_within(_int_text, 0, 2**64 - 1), default=0)
-    elif name == "sweep":
-        p.add_argument("--games", required=True, help="comma list, e.g. A,T")
-        p.add_argument("--var", choices=("p", "p_F"), default="p")
-        p.add_argument("--start", type=_prob, required=True)
-        p.add_argument("--stop", type=_prob, required=True)
-        p.add_argument("--step", type=_prob, required=True)
-        p.add_argument("--delta", type=_within(float, 0, 0.5), default=None,
-                       help="offset in p_S = 1 - p_F + delta (p_F sweeps)")
-        p.add_argument("--out", required=True, help="output CSV path, - for stdout")
-        p.add_argument("--svg", default=None, help="optional SVG chart path")
-    elif name in ("fit", "shape", "compare"):
-        p.add_argument("csv")
-    if name == "shape":
-        p.add_argument("--low", required=True, help="weaker player: rank or exact name")
-        p.add_argument("--high", required=True, help="stronger player: rank or exact name")
-    elif name == "compare":
-        p.add_argument("--x", type=_cutoff, default=3, help=_CUTOFF_HELP)
-    if name != "sweep":  # sweep writes CSV to --out, never JSON
-        p.add_argument("--json", action="store_true")
-
-
-def build_parser(command: str | None = None):
-    """The servelab argparse parser, or, given a subcommand's name, the
-    parser with that subcommand alone, which parses an argv that starts with
-    the name (and prints its --help) as the full parser does."""
+def build_parser():
+    """The servelab argparse parser, each subcommand declared from _COMMANDS."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -125,35 +120,25 @@ def build_parser(command: str | None = None):
 
     parser = _Parser(prog="servelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for name, (help_line, _) in _COMMANDS.items():
-        if command in (None, name):
-            _add_arguments(name, sub.add_parser(name, help=help_line))
+    for name, (help_line, _, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, kw in arguments.items():
+            p.add_argument(flag, **kw)
     return parser
-
-
-class _Declared(dict):
-    """A subcommand's arguments as _add_arguments declares them: the
-    keywords of each, by option string (or positional name)."""
-
-    def add_argument(self, flag, **kw):
-        self[flag] = kw
 
 
 def _plain_args(command: str, tokens):
     """The namespace argparse would make of [command, *tokens], when every
     token is plain: one of command's option strings, as written, then its
     value unless it is a store_true flag, or command's positional.  A value
-    or positional that starts with "-" (other than "-" itself) is not plain.
-    Returns None for any other argv, and for one that argparse would refuse
-    (a value its type or choices refuse, a required argument missing), so
-    that argparse parses it: --help, an abbreviation, --flag=value, "--",
-    and every refusal and its message stay argparse's."""
-    declared = _Declared()
-    _add_arguments(command, declared)
+    or positional that starts with "-" (other than "-" itself) is not
+    plain.  None for any other argv, and for one argparse would refuse (a
+    value its type or choices refuse, a required argument missing): --help,
+    an abbreviation, --flag=value, "--" and every refusal stay argparse's."""
+    declared = _COMMANDS[command][2]
     positionals = [flag for flag in declared if not flag.startswith("-")]
     missing = {flag for flag, kw in declared.items() if kw.get("required")} | set(positionals)
-    values = {flag: kw.get("default", False if kw.get("action") == "store_true" else None)
-              for flag, kw in declared.items() if flag.startswith("-")}
+    values = {flag: kw.get("default") for flag, kw in declared.items() if flag.startswith("-")}
     tokens = iter(tokens)
     for token in tokens:
         kw = declared.get(token) if token.startswith("-") else None
@@ -182,9 +167,14 @@ def _plain_args(command: str, tokens):
                            **{f.lstrip("-").replace("-", "_"): v for f, v in values.items()})
 
 
-def _print_warning(message, category, filename, lineno, file=None, line=None):
-    """Show a warning (a duplicate rank, a skipped grid point) as one line."""
-    print(f"warning: {message}", file=sys.stderr)
+def _say(line: str) -> None:
+    """Print line on stderr, flushed.  A closed stderr loses this line
+    alone: the command goes on, to the code it has with stderr open."""
+    try:
+        if sys.stderr is not None:  # None when started with descriptor 2 closed
+            print(line, file=sys.stderr, flush=True)
+    except OSError:
+        pass
 
 
 def main(argv=None) -> int:
@@ -196,18 +186,17 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        # a process runs one subcommand, so it declares only that one's
-        # arguments; a plain argv is parsed without argparse
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
-        args = ((command and _plain_args(command, argv[1:]))
-                or build_parser(command).parse_args(argv))
+        # a plain argv is parsed without argparse, which parses the rest
+        args = ((argv and argv[0] in _COMMANDS and _plain_args(argv[0], argv[1:]))
+                or build_parser().parse_args(argv))
         if args.command is None:
             raise _UsageError("a subcommand is required (see --help)")
         module = import_module(f".{_COMMANDS[args.command][1]}", __package__)
         with warnings.catch_warnings():
-            # every warning is a line on stderr, whatever -W or PYTHONWARNINGS asks
+            # every warning (a duplicate rank, a skipped grid point) is one
+            # line on stderr, whatever -W or PYTHONWARNINGS asks
             warnings.simplefilter("always")
-            warnings.showwarning = _print_warning
+            warnings.showwarning = lambda message, *_, **__: _say(f"warning: {message}")
             getattr(module, f"cmd_{args.command}")(args)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else int(exc.code)
@@ -221,7 +210,7 @@ def main(argv=None) -> int:
         code, prefix, message = 3, "error", str(exc)
     else:
         return 0
-    print(f"{prefix}: {_clipped(message, _MESSAGE_MAX, 'message')}", file=sys.stderr)
+    _say(f"{prefix}: {_clipped(message, _MESSAGE_MAX, 'message')}")
     return code
 
 
@@ -229,17 +218,17 @@ def entrypoint() -> None:
     """Run main() as the servelab command, and end the process with its code.
 
     The process leaves through os._exit once the exit handlers have run
-    (simulate's reaps its shard workers) and stdout and stderr are flushed,
-    so it skips the interpreter's teardown: a last garbage collection and
-    the clearing of every loaded module, 6-8 ms of a command.  That
-    loses nothing because every file a command writes is closed before
-    main() returns (_cli_sweep._write_files closes them) and the CLI starts
-    no thread.  A stream whose reader has gone (BrokenPipeError) takes
-    nothing more and leaves the code as it is: the reader stopped reading
-    on purpose.  Any other failed flush (a full disk) lost output, which is
-    a data error.  An interrupt (Ctrl-C, KeyboardInterrupt) ends the same
-    way: the exit handlers run, the line "interrupted" goes to stderr, and
-    the code is 130, the shell's 128 + SIGINT.
+    (simulate's reaps its shard workers) and stdout is flushed, so it skips
+    the interpreter's teardown: a last garbage collection and the clearing
+    of every loaded module, 6-8 ms of a command.  That loses nothing:
+    every file a command writes is closed before main() returns, the CLI
+    starts no thread, and _say flushes each line it prints on stderr.  A
+    stdout whose reader has gone (BrokenPipeError) takes nothing more and
+    leaves the code as it is: the reader stopped reading on purpose.  Any
+    other failed flush (a full disk) lost output, which is a data error.
+    An interrupt (Ctrl-C, KeyboardInterrupt) ends the same way: the exit
+    handlers run, the line "interrupted" goes to stderr, and the code is
+    130, the shell's 128 + SIGINT.
     """
     interrupted = False
     try:
@@ -248,16 +237,14 @@ def entrypoint() -> None:
         code, interrupted = 130, True
     atexit._run_exitfuncs()  # the call the interpreter's own shutdown makes
     if interrupted:
-        print("interrupted", file=sys.stderr)
-    for stream in (sys.stdout, sys.stderr):
-        if stream is None:  # started with the descriptor closed
-            continue
-        try:
-            stream.flush()
-        except BrokenPipeError:
-            pass
-        except OSError:
-            code = code or 3
+        _say("interrupted")
+    try:
+        if sys.stdout is not None:  # None when started with descriptor 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        pass
+    except OSError:
+        code = code or 3
     os._exit(code)
 
 

@@ -59,7 +59,7 @@ import threading
 from math import sqrt
 from typing import NamedTuple
 
-from . import mc_backend
+from . import mc_backend  # re-exported for perfbench's provenance (ROADMAP item 1, slice B)
 from ._mc_fallback import GAMMA, MASK, mix64, play_game, run_batch
 from .errors import DeuceCapExceeded, RangeError
 from .types import ServeProfile, ServeSchedule, _Record, _is_int, _set

@@ -902,6 +902,41 @@ class TestCommandProcess:
                                 preexec_fn=lambda: os.close(1))
         assert (code, err) == (2, "usage error: --p is required for game T\n")
 
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("stderr", ["closed", "read-only"])
+    def test_closed_stderr_loses_only_its_lines(self, tmp_path, stderr, unbuffered):
+        # descriptor 2 closed (sys.stderr is None), or open on a file that
+        # takes no write (each write fails with EBADF): the refusal, the
+        # warning and "interrupted" are lost, and stdout and the code are
+        # those of a process whose stderr is open
+        dup = tmp_path / "dup.csv"
+        dup.write_text(f"{HEADER}\n1,x,0.62,0.77,0.57,0.88\n1,z,0.6,0.75,0.55,0.85\n",
+                       encoding="utf-8")
+        interrupt = ("from servelab import cli\n"
+                     "def main():\n"
+                     "    raise KeyboardInterrupt\n"
+                     "cli.main = main\n"
+                     "cli.entrypoint()\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(servelab.__file__).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        for argv, script, code in [(["eval", "--game", "Z"], None, 2),
+                                   (["fit", str(tmp_path / "missing.csv")], None, 3),
+                                   (["fit", str(dup)], None, 0),
+                                   ([], interrupt, 130)]:
+            code_open, out_open, err_open = _command(*argv, script=script)
+            assert code_open == code and err_open, argv
+            prog = ["-c", script] if script else ["-m", "servelab.cli", *argv]
+            with open(os.devnull, "rb") as read_only:
+                if stderr == "closed":
+                    popen = dict(stderr=subprocess.DEVNULL, preexec_fn=lambda: os.close(2))
+                else:
+                    popen = dict(stderr=read_only)
+                proc = subprocess.run([sys.executable, *prog], env=env, stdout=subprocess.PIPE,
+                                      text=True, timeout=120, **popen)
+            assert (proc.returncode, proc.stdout) == (code, out_open), argv or script
+
     def test_no_worker_outlives_a_command(self):
         # an exit handler registered after simulate's runs before it and
         # reports the workers that simulate's handler then kills and reaps
@@ -1238,8 +1273,9 @@ class TestImportGraph:
 
 
 class TestHelpText:
-    """main parses an argv that names a subcommand with that subcommand's
-    parser alone; each help text reads as the full parser prints it."""
+    """main prints each help as build_parser prints it, and argparse's help
+    screens and refusals read byte for byte as pinned: the sha256 of each
+    help at 80 columns, and the line of each refusal."""
 
     @pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in _VALID)])
     def test_same_as_the_full_parser(self, capsys, monkeypatch, argv):
@@ -1249,6 +1285,41 @@ class TestHelpText:
         full = capsys.readouterr().out
         assert full.startswith("usage: servelab ")
         assert run(capsys, *argv) == (0, full, "")
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="argparse words its help as Python 3.11 does")
+    @pytest.mark.parametrize("command, digest", [
+        (None, "56a38391c626e11c37bac1dba4b1dd649b6334bb8763ae5772ef8f80bc47aef4"),
+        ("eval", "98566f8607b2b45a0567aa4626a12b7672f1e646d7565cee894827f409eaa581"),
+        ("simulate", "f51c1a177f858474ffa284b8455b5511d3d3f2c731e9efa8f4964f49c72ca29f"),
+        ("sweep", "098947a8d3863b4ea644895a449cf1d6daed8affd118db7f8ec996bc7b94efb4"),
+        ("fit", "1b75c8a2112faad37159ea5c0f698a4090c82230260d9e25d684630bb9ae33f0"),
+        ("shape", "e0fabd66905135766d67ee572e43c281acc2bc489f8ebfd0fec56891d35a280d"),
+        ("compare", "822cc4598279d195f6a0b5d13aa00ee950d6738e6f50f0e1a9feb085c761fc4d"),
+    ])
+    def test_help_is_pinned(self, capsys, monkeypatch, command, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, *([command] if command else []), "--help")
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="argparse words its refusals as Python 3.11 does")
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--s", "0"], "ambiguous option: --s could match --start, --stop, --step, --svg"),
+        (["eval", "--game", "T", "--p", "0.5", "extra"], "unrecognized arguments: extra"),
+        (["eval", "--game", "T", "--", "--p", "0.5"], "unrecognized arguments: -- --p 0.5"),
+        (["eval", "--p", "0.5"], "the following arguments are required: --game"),
+        (["fit"], "the following arguments are required: csv"),
+        (["eval", "--game"], "argument --game: expected one argument"),
+        (["eval", "--game", "Z", "--p", "0.5"],
+         "argument --game: invalid choice: 'Z' (choose from 'A', 'Bj', 'T', 'B', 'C')"),
+        (["eval", "--game", "T", "--p=2"], "argument --p: must lie in [0, 1], got 2.0"),
+        (["nosuch"], "argument command: invalid choice: 'nosuch' (choose from 'eval', "
+                     "'sweep', 'fit', 'shape', 'compare', 'simulate')"),
+    ], ids=["ambiguous", "unrecognized", "double-dash", "missing-flag", "missing-csv",
+            "no-value", "game-choice", "joined-value", "unknown-subcommand"])
+    def test_refusal_is_pinned(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
 
 
 # argvs of the shapes the cli-session benchmark workload runs
