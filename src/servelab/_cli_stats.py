@@ -25,19 +25,31 @@ def _csv_field(text: str) -> str:
     return text
 
 
+class _JsonRows(list):
+    """A JSON array of make(item) for each item, each made as the encoder
+    reaches it, so no list of row dicts is held.  iterencode's encoder
+    (pure Python) tests a list for emptiness with len(), then iterates it."""
+
+    def __init__(self, make, items):
+        self._make, self._items = make, items
+
+    def __len__(self):
+        return len(self._items)
+
+    def __iter__(self):
+        return map(self._make, self._items)
+
+
 def cmd_fit(args) -> None:
     from .atp import fit_report
 
     fit_rows, summary = fit_report(_stats_rows(args.csv))
-    # a table may hold 100,000 rows, so build only the output asked for, and
-    # the CSV lines as they are written
-    if args.json:
-        rows = [{"rank": r.stats.rank, "name": r.stats.name, "p_emp": r.p_emp,
-                 "predicted": r.predicted, "observed": r.stats.p_t_won,
-                 "residual": r.residual} for r in fit_rows]
-        _emit(args, {"rows": rows, "summary": summary._asdict()}, [])
-        return
-    _emit(args, None, chain(
+    # a table may hold 100,000 rows, so each JSON row and CSV line is built
+    # as it is written, and only for the output asked for
+    rows = _JsonRows(lambda r: {"rank": r.stats.rank, "name": r.stats.name, "p_emp": r.p_emp,
+                                "predicted": r.predicted, "observed": r.stats.p_t_won,
+                                "residual": r.residual}, fit_rows)
+    _emit(args, {"rows": rows, "summary": summary._asdict()}, chain(
         ["rank,name,p_emp,predicted,observed,residual"],
         (f"{r.stats.rank},{_csv_field(r.stats.name)},{_fmt(r.p_emp)},{_fmt(r.predicted)},"
          f"{_fmt(r.stats.p_t_won)},{r.residual:+.6f}" for r in fit_rows),
@@ -84,12 +96,9 @@ def cmd_compare(args) -> None:
     from .shaping import CompareRow, compare_table
 
     table = compare_table(_stats_rows(args.csv), args.x)
-    # a table may hold 100,000 rows, so build only the output asked for, and
-    # the CSV lines as they are written
-    if args.json:
-        _emit(args, {"x": args.x, "rows": [r._asdict() for r in table]}, [])
-        return
-    _emit(args, None, chain(
+    # a table may hold 100,000 rows, so each JSON row and CSV line is built
+    # as it is written, and only for the output asked for
+    _emit(args, {"x": args.x, "rows": _JsonRows(CompareRow._asdict, table)}, chain(
         [",".join(CompareRow._fields)],
         (f"{r.rank}," + ",".join(_fmt(v) for v in r[1:]) for r in table),
         ["# 3-decimal view"],

@@ -7,7 +7,7 @@ import os
 import stat
 import warnings
 
-from ._cli_shared import _UsageError, _defined, _fmt, _write_stdout
+from ._cli_shared import _UsageError, _defined, _fmt, _write
 from .errors import ServelabError, _shown
 from .types import RuleKind, ServeProfile, schedule_for
 
@@ -120,4 +120,4 @@ def cmd_sweep(args) -> None:
         files.append((args.svg, None, chart))
     _write_files(files)
     if args.out == "-":
-        _write_stdout(text)
+        _write([text])

@@ -2,9 +2,14 @@
 
 Subcommands: eval, sweep, fit, shape, compare, simulate.  Each prints
 CSV on stdout, or JSON with --json, except sweep, which writes CSV to
---out (- for stdout) and optionally an SVG chart.  Exit codes: 0 success
-(also when stdout's reader stops reading early), 2 usage error, 3 data
-error, 4 internal consistency failure, 130 interrupted (Ctrl-C).
+--out (- for stdout) and optionally an SVG chart.  Exit codes: 0 success,
+2 usage error, 3 data error, 4 internal consistency failure, 130
+interrupted (Ctrl-C).  Output that stdout cannot take is lost, code 3
+with one error line on stderr: stdout on a full device, or closed
+(descriptor 1 closed at start).  A stdout whose reader has gone
+(servelab ... | head) is code 0, with nothing on stderr.  A stderr that
+is closed, full or unread loses only its own lines.  PYTHONUNBUFFERED
+changes none of these codes.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from types import SimpleNamespace
 # handler imports _cli_shared, never this module, which runs as __main__
 # under `python -m servelab.cli`.  argparse is imported only by
 # build_parser and by a refused value: a plain argv never loads it, and
-# argparse words every refusal and prints every help.
+# argparse words every refusal and every help, which _write prints.
 from . import mc_backend  # read by perfbench's setup_s alone (ROADMAP item 1, slice B)
-from ._cli_shared import _StdoutClosed, _UsageError
+from ._cli_shared import _UsageError, _say, _write
 from .errors import ConsistencyError, RangeError, ServelabError, _clipped, _int_text, _shown
 from .types import CUTOFFS, ORDERS, RuleKind
 
@@ -118,6 +123,9 @@ def build_parser():
         def error(self, message):  # route argparse failures to exit code 2
             raise _UsageError(message)
 
+        def _print_message(self, message, file=None):  # help, the only text argparse prints
+            _write([message])
+
     parser = _Parser(prog="servelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     for name, (help_line, _, arguments) in _COMMANDS.items():
@@ -167,22 +175,12 @@ def _plain_args(command: str, tokens):
                            **{f.lstrip("-").replace("-", "_"): v for f, v in values.items()})
 
 
-def _say(line: str) -> None:
-    """Print line on stderr, flushed.  A closed stderr loses this line
-    alone: the command goes on, to the code it has with stderr open."""
-    try:
-        if sys.stderr is not None:  # None when started with descriptor 2 closed
-            print(line, file=sys.stderr, flush=True)
-    except OSError:
-        pass
-
-
 def main(argv=None) -> int:
     """Run one subcommand; the exit code says how it ended (0, 2, 3 or 4).
     A refusal is one line on stderr, its message cut to its ends and its
     length when longer than _MESSAGE_MAX characters.  A stdout whose
     reader has gone is code 0, and main() leaves the caller's descriptors
-    as they are (entrypoint swallows the closed pipe at its last flush)."""
+    as they are."""
     if argv is None:
         argv = sys.argv[1:]
     try:
@@ -198,12 +196,10 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             warnings.showwarning = lambda message, *_, **__: _say(f"warning: {message}")
             getattr(module, f"cmd_{args.command}")(args)
-    except SystemExit as exc:  # --help
+    except SystemExit as exc:  # --help, or stdout's reader has gone
         return 0 if exc.code in (0, None) else int(exc.code)
     except _UsageError as exc:
         code, prefix, message = 2, "usage error", str(exc)
-    except _StdoutClosed:  # the reader ended the read on purpose
-        return 0
     except ConsistencyError as exc:
         code, prefix, message = 4, "error", str(exc)
     except (ServelabError, OSError) as exc:  # an OSError may name a path of any length
@@ -218,17 +214,14 @@ def entrypoint() -> None:
     """Run main() as the servelab command, and end the process with its code.
 
     The process leaves through os._exit once the exit handlers have run
-    (simulate's reaps its shard workers) and stdout is flushed, so it skips
-    the interpreter's teardown: a last garbage collection and the clearing
-    of every loaded module, 6-8 ms of a command.  That loses nothing:
-    every file a command writes is closed before main() returns, the CLI
-    starts no thread, and _say flushes each line it prints on stderr.  A
-    stdout whose reader has gone (BrokenPipeError) takes nothing more and
-    leaves the code as it is: the reader stopped reading on purpose.  Any
-    other failed flush (a full disk) lost output, which is a data error.
-    An interrupt (Ctrl-C, KeyboardInterrupt) ends the same way: the exit
-    handlers run, the line "interrupted" goes to stderr, and the code is
-    130, the shell's 128 + SIGINT.
+    (simulate's reaps its shard workers), so it skips the interpreter's
+    teardown: a last garbage collection and the clearing of every loaded
+    module, 6-8 ms of a command.  That loses nothing: every file a command
+    writes is closed before main() returns, the CLI starts no thread, and
+    _write and _say flush all they print.  An interrupt (Ctrl-C,
+    KeyboardInterrupt) ends the same way: the exit handlers run, the line
+    "interrupted" goes to stderr, and the code is 130, the shell's 128 +
+    SIGINT.
     """
     interrupted = False
     try:
@@ -238,13 +231,6 @@ def entrypoint() -> None:
     atexit._run_exitfuncs()  # the call the interpreter's own shutdown makes
     if interrupted:
         _say("interrupted")
-    try:
-        if sys.stdout is not None:  # None when started with descriptor 1 closed
-            sys.stdout.flush()
-    except BrokenPipeError:
-        pass
-    except OSError:
-        code = code or 3
     os._exit(code)
 
 

@@ -32,6 +32,26 @@ HEADER = "rank,name,p_f_in,p_f_won,p_s_won,p_t_won"
 SAMPLE = str(sample_path())
 
 
+class _Writes(io.StringIO):
+    """A stdout that keeps the text of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def _stats_table(folder: Path, n: int) -> str:
+    """The path of an n-row stats table written in folder."""
+    path = folder / "stats.csv"
+    path.write_text(HEADER + "\n" + "".join(f"{i},p{i},0.6,0.75,0.5,0.8\n"
+                                            for i in range(1, n + 1)), encoding="utf-8")
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -463,24 +483,41 @@ class TestCompare:
         ("compare", "a3cbd2d9c1e6d0bd32ea68a4ca3c52826564338b26b69ff528e8e609e625c88d", 14),
     ])
     def test_csv_is_written_in_chunks(self, capsys, monkeypatch, name, digest, lines):
-        # _CHUNK_LINES lines a write, and the bytes of one whole write
-        writes = []
-        write = _cli_shared._write_stdout
-        monkeypatch.setattr(_cli_shared, "_CHUNK_LINES", 4)
-        monkeypatch.setattr(_cli_shared, "_write_stdout",
-                            lambda text: (writes.append(text.count("\n")), write(text)))
-        code, out, err = run(capsys, name, SAMPLE)
-        assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-        assert writes == [4] * (lines // 4) + [lines % 4]
+        # _CHUNK_PIECES lines a write, and the bytes of one whole write
+        out = _Writes()
+        monkeypatch.setattr(_cli_shared, "_CHUNK_PIECES", 4)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert (main([name, SAMPLE]), capsys.readouterr().err) == (0, "")
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+        assert [w.count("\n") for w in out.writes] == [4] * (lines // 4) + [lines % 4]
+
+    @pytest.mark.parametrize("name", ["fit", "compare"])
+    def test_json_is_written_in_few_writes(self, capsys, monkeypatch, tmp_path, name):
+        # a 2,000-row document: json.dump made one write per encoder chunk,
+        # 56,031 for fit and 96,013 for compare; 4,096 chunks a write make
+        # 14 and 24
+        out = _Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert (main([name, _stats_table(tmp_path, 2000), "--json"]),
+                capsys.readouterr().err) == (0, "")
+        assert len(json.loads(out.getvalue())["rows"]) == 2000
+        assert len(out.writes) <= 30
+
+    def test_json_rows_are_built_as_written(self, monkeypatch, tmp_path):
+        # each row dict is made as the encoder reaches it, so the last is
+        # made after the first writes have gone out
+        out, asdict, made = _Writes(), CompareRow._asdict, []
+        monkeypatch.setattr(CompareRow, "_asdict",
+                            lambda row: (made.append(len(out.writes)), asdict(row))[1])
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["compare", _stats_table(tmp_path, 2000), "--json"]) == 0
+        assert len(made) == 2000 and made[0] == 0 and made[-1] > 0
 
     def test_closed_stdout_pipe_ends_quietly(self, tmp_path):
         # about 800 kB of CSV in many writes; the reader goes after one line
-        stats = tmp_path / "stats.csv"
-        stats.write_text(HEADER + "\n" + "".join(f"{i},p{i},0.6,0.75,0.5,0.8\n"
-                                                 for i in range(1, 5001)), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(Path(servelab.__file__).parents[1])}
-        proc = subprocess.Popen([sys.executable, "-m", "servelab.cli", "compare", str(stats)],
+        proc = subprocess.Popen([sys.executable, "-m", "servelab.cli", "compare",
+                                 _stats_table(tmp_path, 5000)],
                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         try:
             assert proc.stdout.readline().startswith(b"rank,")
@@ -798,14 +835,17 @@ class TestTopLevel:
         assert got == expected
 
 
-def _command(*argv, script=None, stdout=subprocess.PIPE, **popen):
-    """Run `python -m servelab.cli argv` with buffered stdout, or the Python
-    `script` if given, and return (exit code, stdout, stderr)."""
+def _command(*argv, script=None, unbuffered=False, **popen):
+    """Run `python -m servelab.cli argv`, or the Python `script` if given,
+    with PYTHONUNBUFFERED=1 or unset, and return (exit code, stdout,
+    stderr); a stream that popen does not send to a pipe reads None."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(servelab.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     prog = ["-c", script] if script is not None else ["-m", "servelab.cli", *argv]
-    proc = subprocess.run([sys.executable, *prog], env=env, stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, timeout=120, **popen)
+    proc = subprocess.run([sys.executable, *prog], env=env, text=True, timeout=120,
+                          **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **popen})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -814,8 +854,8 @@ def _files(folder: Path) -> dict:
 
 
 class TestCommandProcess:
-    """The servelab process ends through cli.entrypoint, which flushes and
-    leaves with os._exit: it prints, writes and exits as main() does."""
+    """The servelab process ends through cli.entrypoint, which leaves with
+    os._exit: it prints, writes and exits as main() does."""
 
     @pytest.mark.parametrize("argv, code", [
         (("eval", "--game", "C", "--pf", "0.696", "--ps", "0.55"), 0),
@@ -859,23 +899,23 @@ class TestCommandProcess:
 
     @pytest.mark.parametrize("argv", [("--help",), ("eval", "--help")])
     def test_help_into_closed_pipe_exits_zero(self, argv):
-        # the help text waits in stdout's buffer until the process ends
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            code, _, err = _command(*argv, stdout=write_end)
+            got = {_command(*argv, unbuffered=u, stdout=write_end) for u in (True, False)}
         finally:
             os.close(write_end)
-        assert (code, err) == (0, "")
+        assert got == {(0, None, "")}
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no full device")
     @pytest.mark.parametrize("argv, err", [
-        (("--help",), ""),
+        (("--help",), "error: [Errno 28] No space left on device\n"),
         (("eval", "--game", "T", "--p", "0.6"), "error: [Errno 28] No space left on device\n"),
     ])
     def test_output_lost_on_a_full_device_is_a_data_error(self, argv, err):
         with open("/dev/full", "w") as full:
-            assert _command(*argv, stdout=full)[::2] == (3, err)
+            got = {_command(*argv, unbuffered=u, stdout=full) for u in (True, False)}
+        assert got == {(3, None, err)}
 
     def test_main_leaves_a_closed_stdout_pipe_in_place(self):
         # a library caller's stdout is a pipe whose reader has gone: main()
@@ -897,10 +937,11 @@ class TestCommandProcess:
         assert (code, err) == (0, "0 True\n")
 
     def test_closed_stdout_descriptor_keeps_the_code(self):
-        # a process started without descriptor 1 has no sys.stdout to flush
-        code, _, err = _command("eval", "--game", "T", stdout=subprocess.DEVNULL,
-                                preexec_fn=lambda: os.close(1))
-        assert (code, err) == (2, "usage error: --p is required for game T\n")
+        # a refusal writes nothing on stdout, so a process started without
+        # descriptor 1 (sys.stdout is None) loses nothing
+        got = {_command("eval", "--game", "T", unbuffered=u, stdout=subprocess.DEVNULL,
+                        preexec_fn=lambda: os.close(1)) for u in (True, False)}
+        assert got == {(2, None, "usage error: --p is required for game T\n")}
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     @pytest.mark.parametrize("stderr", ["closed", "read-only"])
@@ -917,25 +958,19 @@ class TestCommandProcess:
                      "    raise KeyboardInterrupt\n"
                      "cli.main = main\n"
                      "cli.entrypoint()\n")
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(Path(servelab.__file__).parents[1])
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
         for argv, script, code in [(["eval", "--game", "Z"], None, 2),
                                    (["fit", str(tmp_path / "missing.csv")], None, 3),
                                    (["fit", str(dup)], None, 0),
                                    ([], interrupt, 130)]:
             code_open, out_open, err_open = _command(*argv, script=script)
             assert code_open == code and err_open, argv
-            prog = ["-c", script] if script else ["-m", "servelab.cli", *argv]
             with open(os.devnull, "rb") as read_only:
                 if stderr == "closed":
                     popen = dict(stderr=subprocess.DEVNULL, preexec_fn=lambda: os.close(2))
                 else:
                     popen = dict(stderr=read_only)
-                proc = subprocess.run([sys.executable, *prog], env=env, stdout=subprocess.PIPE,
-                                      text=True, timeout=120, **popen)
-            assert (proc.returncode, proc.stdout) == (code, out_open), argv or script
+                got = _command(*argv, script=script, unbuffered=unbuffered, **popen)
+            assert got == (code, out_open, None), argv or script
 
     def test_no_worker_outlives_a_command(self):
         # an exit handler registered after simulate's runs before it and
@@ -969,7 +1004,7 @@ class TestCommandProcess:
             "def run_batch(*args):\n"
             "    if os.getpid() != parent:\n"
             "        return play(*args)\n"
-            "    print(*[w[0] for w in s._workers])\n"
+            "    print(*[w[0] for w in s._workers], flush=True)\n"
             "    raise KeyboardInterrupt\n"
             "s.run_batch = run_batch\n"
             "sys.argv = ['servelab', 'simulate', '--game', 'T', '--p', '0.62', '--n', '1000']\n"
@@ -982,6 +1017,63 @@ class TestCommandProcess:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+# a command for each subcommand that prints, --help and a refusal
+_STREAM_ARGV = {
+    "eval": ["eval", "--game", "C", "--pf", "0.696", "--ps", "0.55"],
+    "eval-json": ["eval", "--game", "T", "--p", "0.62", "--json"],
+    "sweep": ["sweep", "--games", "A,T", "--start", "0.3", "--stop", "0.7", "--step", "0.1",
+              "--out", "-"],
+    "fit": ["fit", SAMPLE],
+    "shape": ["shape", SAMPLE, "--low", "200", "--high", "1"],
+    "compare": ["compare", SAMPLE],
+    "simulate": ["simulate", "--game", "T", "--p", "0.62", "--n", "2000"],
+    "help": ["--help"],
+    "refusal": ["eval", "--game", "T"],
+}
+_LOST = {"closed": "[Errno 9] stdout is closed", "full": "[Errno 28] No space left on device"}
+
+
+class TestStreamStates:
+    """Each state of stdout or stderr ends each command with one documented
+    code and no traceback, whether PYTHONUNBUFFERED is set or not.  Output
+    stdout cannot take (closed, full) is lost: code 3 and one error line.
+    A stdout whose reader has gone is code 0.  A stderr in any of these
+    states loses only its own lines."""
+
+    @pytest.mark.parametrize("state", [
+        "closed",
+        pytest.param("full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                      reason="no full device")),
+        "gone",
+    ])
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    @pytest.mark.parametrize("name", list(_STREAM_ARGV))
+    def test_one_code_whatever_the_buffering(self, capsys, monkeypatch, name, stream, state):
+        monkeypatch.setenv("COLUMNS", "80")  # help's width, here and in each child
+        argv = _STREAM_ARGV[name]
+        code, out, err = run(capsys, *argv)  # both streams healthy
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # a pipe whose reader has gone
+        try:
+            with open("/dev/full" if state == "full" else os.devnull, "w") as full:
+                popen = {stream: {"closed": subprocess.DEVNULL, "full": full,
+                                  "gone": write_end}[state]}
+                if state == "closed":
+                    fd = 1 if stream == "stdout" else 2
+                    popen["preexec_fn"] = lambda: os.close(fd)
+                got = {_command(*argv, unbuffered=u, **popen) for u in (True, False)}
+        finally:
+            os.close(write_end)
+        if stream == "stderr":
+            assert got == {(code, out, None)}
+        elif code == 2:  # a refusal prints nothing on stdout
+            assert got == {(2, None, err)}
+        elif state == "gone":
+            assert got == {(0, None, "")}
+        else:
+            assert got == {(3, None, f"error: {_LOST[state]}\n")}
 
 
 def _address_space_limit():
@@ -1289,7 +1381,7 @@ class TestHelpText:
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                         reason="argparse words its help as Python 3.11 does")
     @pytest.mark.parametrize("command, digest", [
-        (None, "56a38391c626e11c37bac1dba4b1dd649b6334bb8763ae5772ef8f80bc47aef4"),
+        (None, "d411deabfcbf398ecb8e2a474c292619b18886b8e4d4a58e848f0623fbe7ffa4"),
         ("eval", "98566f8607b2b45a0567aa4626a12b7672f1e646d7565cee894827f409eaa581"),
         ("simulate", "f51c1a177f858474ffa284b8455b5511d3d3f2c731e9efa8f4964f49c72ca29f"),
         ("sweep", "098947a8d3863b4ea644895a449cf1d6daed8affd118db7f8ec996bc7b94efb4"),
@@ -1419,8 +1511,9 @@ def _loaded(argv, tmp_path) -> set:
 
 
 class TestParserImports:
-    """A plain argv loads no argparse, and no command loads html, nor signal
-    unless it has shard workers to kill; --help and a refusal load argparse."""
+    """A plain argv loads no argparse, nor json without --json, and no
+    command loads html, nor signal unless it has shard workers to kill;
+    --help and a refusal load argparse."""
 
     @pytest.mark.parametrize("argv", [
         *([name, *base] for name, base in _VALID.items()),
@@ -1430,7 +1523,7 @@ class TestParserImports:
     def test_plain_argv_loads_no_argparse(self, tmp_path, argv):
         loaded = _loaded(argv, tmp_path)
         assert "servelab._cli_shared" in loaded  # the report is read
-        assert {"argparse", "html", "signal"} & loaded == set()
+        assert {"argparse", "html", "json", "signal"} & loaded == set()
 
     @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"],
                                       ["eval", "--game", "T", "--p", "2"]])
