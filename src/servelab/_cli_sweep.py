@@ -33,14 +33,17 @@ def _sweep_grid(args) -> list[float]:
     return [min(start + i * step, stop) for i in range(int(steps) + 1)]
 
 
-def _write_files(files: list[tuple[str, str | None, str]]) -> None:
-    """Write each (path, newline, text) file, or none of them.
+def _write_files(files: list[tuple[str, str | None, str]], stdout_text: str | None) -> None:
+    """Write each (path, newline, text) file, and stdout_text to stdout
+    when given, or none of the files.
 
-    Every file is opened before any is written, to append, which truncates
-    nothing.  If one fails to open, those opened are closed, and those
-    this call created removed, before the error goes on.  Then each file's
-    contents are replaced by its text; a pipe or device, which cannot be
-    truncated, just takes the text.
+    Every file is opened before anything is written, to append, which
+    truncates nothing; then stdout takes its text.  If a file fails to
+    open, or stdout fails to take its text (a reader that has gone among
+    the failures), those opened are closed, and those this call created
+    removed, before the error goes on.  Only then is each file's contents
+    replaced by its text; a pipe or device, which cannot be truncated,
+    just takes the text.
     """
     handles, created = [], []
     try:
@@ -49,7 +52,9 @@ def _write_files(files: list[tuple[str, str | None, str]]) -> None:
             handles.append(open(path, "a", encoding="utf-8", newline=newline))
             if not existed:
                 created.append(path)
-    except OSError:
+        if stdout_text is not None:
+            _write([stdout_text])
+    except BaseException:
         for fh in handles:
             fh.close()
         for path in created:
@@ -115,9 +120,8 @@ def cmd_sweep(args) -> None:
             y_label="value",
         )
     text = "".join(f"{line}\n" for line in lines)
-    files = [] if args.out == "-" else [(args.out, "", text)]
+    to_stdout = args.out == "-"
+    files = [] if to_stdout else [(args.out, "", text)]
     if chart is not None:
         files.append((args.svg, None, chart))
-    _write_files(files)
-    if args.out == "-":
-        _write([text])
+    _write_files(files, text if to_stdout else None)

@@ -4,22 +4,24 @@ Exact probability propagation over the pre-tie score lattice (points
 1..6) with an analytic geometric-series closure of the tied region, for
 arbitrary ServeSchedule.  Every six-point prefix has the same lattice
 states, so the lattice is written out as straight-line arithmetic over
-the six point chances, in a fixed operation order.  All five games
-take the same path: a deuce-type game has an empty prefix, so its whole
-mass starts level and goes straight to the closure.  The lattice returns
-the six masses metrics_exact reads (win, len_sum, bp_first, bp_visits,
-tie_clean, tie_seen) and deuce_closure its four values, both as plain
-tuples, so metrics_exact builds only the GameMetrics it returns.
+the six point chances, in a fixed operation order.  A deuce-type game
+(A, Bj) has an empty prefix, so its whole mass starts level, and
+metrics_exact returns the closure's values without the lattice.  The
+lattice returns the six masses metrics_exact reads (win, len_sum,
+bp_first, bp_visits, tie_clean, tie_seen) and deuce_closure its four
+values, both as plain tuples, so metrics_exact builds only the
+GameMetrics it returns.
 
-metrics_exact reads a profile once, as the float pair (p_F, p_S): the
-ServeProfile checked it when it was built, so the pair is not checked
-again.  The schedule's getters, built with the schedule, pick the
-lattice's six chances and the cycle's two ends from that pair, and the
-ends go to _closure, the arithmetic of deuce_closure without its input
-checks.  This arithmetic keeps the rules stated above formulas._tie_mass:
-float-literal coefficients, each repeated subexpression evaluated once,
-each local assigned once, at most three names per assignment.  Also a
-generalized absorbing-barrier random-walk utility.
+metrics_exact reads a profile as the float pair (p_F, p_S) that the
+ServeProfile made when it checked its values, so the pair is neither
+checked nor converted again.  The schedule's getters, built with the
+schedule, pick the lattice's six chances and the cycle's two ends from
+that pair, and the ends go to _closure, the arithmetic of deuce_closure
+without its input checks.  This arithmetic keeps the rules stated above
+formulas._tie_mass: float-literal coefficients, each repeated
+subexpression evaluated once, each local assigned once, at most three
+names per assignment.  Also a generalized absorbing-barrier random-walk
+utility.
 
 The closed forms in formulas.py are validated against this module; on
 any disagreement the engine is authoritative.
@@ -102,6 +104,7 @@ def _lattice(sched: ServeSchedule, pick: tuple[float, float]) -> tuple[float, ..
     """
     if not sched.prefix:
         # a deuce-type game starts level, before any break point
+        # (metrics_exact skips this call for one; the tests make it)
         return _LEVEL_START
     p0, p1, p2, p3, p4, p5 = sched._pick_prefix(pick)
     # points 1-3 decide nothing
@@ -132,21 +135,29 @@ def _lattice(sched: ServeSchedule, pick: tuple[float, float]) -> tuple[float, ..
 def metrics_exact(sched: ServeSchedule, prof: ServeProfile) -> GameMetrics:
     """Exact GameMetrics for any schedule.
 
-    Every game runs through the same lattice: the prefix is propagated
-    point by point and whatever stays level after it enters the tied
-    region, which the deuce closure resolves.  Break-point fields are
-    filled only when F serves every point of the schedule; otherwise
-    they are None.  Every field is a plain float.
+    A six-point prefix is propagated point by point and whatever stays
+    level after it enters the tied region, which the deuce closure
+    resolves; a deuce-type game is the closure alone.  Break-point
+    fields are filled only when F serves every point of the schedule;
+    otherwise they are None.  Every field is a plain float.
     """
-    pick = (float(prof.p_f), float(prof.p_s))
+    pick = prof._pair
     a, b = sched._pick_ends(pick)
     c_win, c_len, c_bp_indicator, c_bp_count = _closure(a, b)
+    # tuple.__new__ is what GameMetrics._make calls
+    if not sched.prefix:
+        # a deuce-type game: from _lattice's level start every sum below
+        # would be 0.0 + 1.0 * x, which is x for the closure's non-negative
+        # values, and 0.0 for a -0.0 win (a -0.0 chance makes a_b -0.0),
+        # so the win keeps its 0.0 +
+        level_win = 0.0 + c_win
+        if sched.all_f_served:
+            return _new(GameMetrics, (level_win, c_len, c_bp_indicator, c_bp_count))
+        return _new(GameMetrics, (level_win, c_len, None, None))
     won, len_sum, bp_first, bp_visits, tie_clean, tie_seen = _lattice(sched, pick)
     tie_total = tie_clean + tie_seen
     win = won + tie_total * c_win
-    # a prefix is empty or six points long
-    points = len_sum + tie_total * ((6.0 if sched.prefix else 0.0) + c_len)
-    # tuple.__new__ is what GameMetrics._make calls
+    points = len_sum + tie_total * (6.0 + c_len)
     if sched.all_f_served:
         return _new(GameMetrics, (win, points, bp_first + tie_clean * c_bp_indicator,
                                   bp_visits + tie_total * c_bp_count))

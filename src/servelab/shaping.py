@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 from . import formulas
 from .atp import PlayerStats, p_emp
-from .engine import metrics_exact
 from .errors import ConsistencyError, DegenerateProfile, RangeError
 from .types import CUTOFFS, RuleKind, ServeProfile, _is_number, rule_c
 
@@ -142,6 +141,8 @@ def compare_table(rows: list[PlayerStats], x: int = 3) -> list[CompareRow]:
     rate).  Where game C has closed forms (x = 3) they are cross-checked
     against the engine under `formulas.agrees` as a self-test.
     """
+    from .engine import metrics_exact  # here, so `servelab shape` compiles no engine
+
     out = []
     sched = rule_c(x)
     for stats in rows:

@@ -2,22 +2,23 @@
 
 All types are immutable values and safe to share between threads, and
 the rule_* factories return shared ones: the 13 schedules A, Bj(1, 2),
-T, B(1, 2) and C(0..6) are built once, at import, and a call looks its
-schedule up.  One rule sorts the records, here and in the other modules:
-an input, whose __init__ checks the values a caller gives it, derives
-from _Record (ServeProfile, ServeSchedule and simulate.SimConfig); an
-output, such as GameMetrics, is a typing.NamedTuple.  A _Record keeps
-its fields in __slots__, __init__ writes each one once through
-object.__setattr__, and any later assignment or deletion raises
-AttributeError.
+T, B(1, 2) and C(0..6) are built once, at import, and a call is one
+lookup of its schedule, which refuses what misses.  One rule sorts the
+records, here and in the other modules: an input, whose __init__ checks
+the values a caller gives it, derives from _Record (ServeProfile,
+ServeSchedule and simulate.SimConfig); an output, such as GameMetrics,
+is a typing.NamedTuple.  A _Record keeps its fields in __slots__,
+__init__ writes each one once through object.__setattr__, and any later
+assignment or deletion raises AttributeError.
 
 A schedule's source pattern is fixed when it is built, so ServeSchedule
 builds with it the getters that map a profile's (p_F, p_S) pair to point
 chances; a call reads its chances through them and tests no source.
-A ServeProfile is checked once, in its __init__, and the engine reads it
-without a second check.  ORDERS and CUTOFFS name the serve orders of Bj
-and B and game C's cutoffs once, for the factories, the command line and
-the shaping warning.
+A ServeProfile is checked once, in its __init__, where an exact float in
+[0, 1] passes without a call, and it keeps the float pair (p_F, p_S)
+that the engine reads without a second check or conversion.  ORDERS
+and CUTOFFS name the serve orders of Bj and B and game C's cutoffs once,
+for the factories, the command line and the shaping warning.
 """
 
 from __future__ import annotations
@@ -144,15 +145,23 @@ class ServeProfile(_Record):
     p_f: chance F wins a point on a full (two-attempt) serve.
     p_s: chance F wins a point under the weaker condition, i.e. when S
          serves or when F is restricted to a single attempt.
+
+    _pair is a derived slot, the float pair (float(p_f), float(p_s)) that
+    the engine reads; ==, hash, repr and pickle read only the two fields.
     """
 
-    __slots__ = _fields = ("p_f", "p_s")
+    _fields = ("p_f", "p_s")
+    __slots__ = (*_fields, "_pair")
 
     def __init__(self, p_f: float, p_s: float):
         _set(self, "p_f", p_f)
         _set(self, "p_s", p_s)
-        _check_unit("p_f", p_f)
-        _check_unit("p_s", p_s)
+        # an exact float in [0, 1] passes _check_unit, and is its own float()
+        if not (p_f.__class__ is float and 0.0 <= p_f <= 1.0):
+            _check_unit("p_f", p_f)
+        if not (p_s.__class__ is float and 0.0 <= p_s <= 1.0):
+            _check_unit("p_s", p_s)
+        _set(self, "_pair", (float(p_f), float(p_s)))
 
 
 class ServeSchedule(_Record):
@@ -234,9 +243,11 @@ _RULE_C = {
     x: ServeSchedule(prefix=(_F,) * x + (_G,) * (6 - x), deuce_cycle=(_G,))
     for x in CUTOFFS
 }
-# The factories look their value up by key, so any number equal to a key
-# selects it, as it did when they built the schedule: rule_bj(1.0) is
-# order 1 and rule_c(True) is x = 1.
+# Each factory is one lookup by key, and refuses what misses, so any
+# number equal to a key selects it, as it did when they built the schedule:
+# rule_bj(1.0) is order 1 and rule_c(True) is x = 1.  An unhashable value
+# misses with a TypeError.  rule_c looks up only an int: a float, Decimal
+# or Fraction equal to a cutoff is not one.
 
 
 def rule_a() -> ServeSchedule:
@@ -250,9 +261,10 @@ def rule_bj(order: int = 1) -> ServeSchedule:
     order=1 starts with F's serve, order=2 with S's; both give the same
     metrics.
     """
-    if order not in ORDERS:
-        raise RangeError(f"order must be {ORDERS[0]} or {ORDERS[-1]}", order)
-    return _RULE_BJ[order]
+    try:
+        return _RULE_BJ[order]
+    except (KeyError, TypeError):
+        raise RangeError(f"order must be {ORDERS[0]} or {ORDERS[-1]}", order) from None
 
 
 def rule_t() -> ServeSchedule:
@@ -268,9 +280,10 @@ def rule_b(order: int = 1) -> ServeSchedule:
     way tie-break service order works; the two orders give identical
     metrics.
     """
-    if order not in ORDERS:
-        raise RangeError(f"order must be {ORDERS[0]} or {ORDERS[-1]}", order)
-    return _RULE_B[order]
+    try:
+        return _RULE_B[order]
+    except (KeyError, TypeError):
+        raise RangeError(f"order must be {ORDERS[0]} or {ORDERS[-1]}", order) from None
 
 
 def rule_c(x: int = 3) -> ServeSchedule:
@@ -279,9 +292,12 @@ def rule_c(x: int = 3) -> ServeSchedule:
     From point x+1 on, F still serves but a first-serve fault loses the
     point, so those points resolve at p_S.  The headline proposal is x=3.
     """
-    if not isinstance(x, int) or x not in CUTOFFS:
-        raise RangeError(f"x must be an integer in {CUTOFFS[0]}..{CUTOFFS[-1]}", x)
-    return _RULE_C[x]
+    if isinstance(x, int):
+        try:
+            return _RULE_C[x]
+        except (KeyError, TypeError):
+            pass
+    raise RangeError(f"x must be an integer in {CUTOFFS[0]}..{CUTOFFS[-1]}", x)
 
 
 def schedule_for(kind: RuleKind, order: int = 1, x: int = 3) -> ServeSchedule:

@@ -1075,6 +1075,38 @@ class TestStreamStates:
         else:
             assert got == {(3, None, f"error: {_LOST[state]}\n")}
 
+    @pytest.mark.parametrize("state", [
+        "closed",
+        pytest.param("full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                      reason="no full device")),
+        "gone",
+    ])
+    @pytest.mark.parametrize("older", [None, "an older chart\n" * 400], ids=["absent", "older"])
+    def test_lost_csv_leaves_the_chart_as_it_was(self, tmp_path, state, older):
+        # sweep opens its files, then writes stdout, then replaces the files
+        chart = tmp_path / "f.svg"
+        argv = [*_STREAM_ARGV["sweep"], "--svg", str(chart)]
+        want = {} if older is None else {"f.svg": older.encode()}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # a pipe whose reader has gone
+        try:
+            with open("/dev/full" if state == "full" else os.devnull, "w") as full:
+                popen = {"stdout": {"closed": subprocess.DEVNULL, "full": full,
+                                    "gone": write_end}[state]}
+                if state == "closed":
+                    popen["preexec_fn"] = lambda: os.close(1)
+                for unbuffered in (True, False):
+                    if older is not None:
+                        chart.write_text(older, encoding="utf-8")
+                    got = _command(*argv, unbuffered=unbuffered, **popen)
+                    if state == "gone":
+                        assert got == (0, None, "")
+                    else:
+                        assert got == (3, None, f"error: {_LOST[state]}\n")
+                    assert _files(tmp_path) == want
+        finally:
+            os.close(write_end)
+
 
 def _address_space_limit():
     """Cap the child's address space at 1 GiB, so a read without end fails
@@ -1107,6 +1139,43 @@ class TestStatsSourceBound:
         code, out, err = _command(argv[0], "/dev/zero", *argv[1:],
                                   preexec_fn=_address_space_limit)
         assert (code, out, err) == (3, "", "error: stats file is larger than 4,194,304 bytes\n")
+
+
+# Largest peak allowed, the process's own VmHWM, for `compare --json` on the
+# largest stats table read: 100.7 MiB measured (103,100 kB; 135 MB when
+# every row became a dict before the first write)
+_COMPARE_JSON_PEAK_KB = 120 * 1024
+
+
+class TestCommandPeakMemory:
+    """A command on the largest table it reads stays under a peak-memory
+    bound, read by the child from its own /proc/self/status: under pytest,
+    RUSAGE_CHILDREN reports pytest's own peak."""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
+    def test_compare_json_on_a_4_mib_table(self, tmp_path):
+        rows = [line.split(",", 1)[1] for line in Path(SAMPLE).read_text().splitlines()
+                if line and not line.startswith(("#", "rank,"))]
+        bound = 4 * 2**20  # the README's largest stats source
+        parts, size = [f"{HEADER}\n"], len(HEADER) + 1
+        while True:  # the sample's rows cycled, ranked 1..n, up to the bound
+            line = f"{len(parts)},{rows[(len(parts) - 1) % len(rows)]}\n"
+            if size + len(line) > bound:
+                break
+            parts.append(line)
+            size += len(line)
+        path = tmp_path / "big.csv"
+        path.write_text("".join(parts), encoding="utf-8")
+        assert bound - 40 < path.stat().st_size <= bound and len(parts) > 100_000
+        script = ("import sys\n"
+                  "from servelab.cli import main\n"
+                  f"code = main(['compare', {str(path)!r}, '--json'])\n"
+                  "peak = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+                  "print(code, peak[0].split()[1], file=sys.stderr)\n")
+        code, _, err = _command(script=script, stdout=subprocess.DEVNULL)
+        status, peak_kb = err.split()
+        assert (code, status) == (0, "0")
+        assert int(peak_kb) <= _COMPARE_JSON_PEAK_KB
 
 
 # Number strings for every numeric flag: valid values that keep each run
@@ -1334,7 +1403,7 @@ _LOADS = {
     "simulate": {"_cli_game", "engine", "simulate", "_mc_fallback"},
     "sweep": {"_cli_sweep", "engine"},
     "fit": {"_cli_stats", "atp", "formulas"},
-    "shape": {"_cli_stats", "atp", "formulas", "engine", "shaping"},
+    "shape": {"_cli_stats", "atp", "formulas", "shaping"},
     "compare": {"_cli_stats", "atp", "formulas", "engine", "shaping"},
 }
 
@@ -1513,7 +1582,7 @@ def _loaded(argv, tmp_path) -> set:
 class TestParserImports:
     """A plain argv loads no argparse, nor json without --json, and no
     command loads html, nor signal unless it has shard workers to kill;
-    --help and a refusal load argparse."""
+    --help and a refusal load argparse, and shape no exact engine."""
 
     @pytest.mark.parametrize("argv", [
         *([name, *base] for name, base in _VALID.items()),
@@ -1529,6 +1598,10 @@ class TestParserImports:
                                       ["eval", "--game", "T", "--p", "2"]])
     def test_help_and_refusal_load_argparse(self, tmp_path, argv):
         assert "argparse" in _loaded(argv, tmp_path)
+
+    def test_shape_compiles_no_engine(self, tmp_path):
+        loaded = _loaded(["shape", *_VALID["shape"]], tmp_path)
+        assert "servelab.shaping" in loaded and "servelab.engine" not in loaded
 
 
 # every numeric flag: (subcommand, flag, lo, hi)

@@ -356,6 +356,38 @@ class TestMetricsExact:
         for name in GameMetrics._fields:
             assert getattr(got, name) == getattr(want, name), name
 
+    # deuce-type games: the three rule schedules and one of each other cycle
+    _DEUCE = (rule_a(), rule_bj(1), rule_bj(2), ServeSchedule((), (_G,)),
+              ServeSchedule((), (_S,)), ServeSchedule((), (_F, _G)), ServeSchedule((), (_G, _S)))
+    _DEUCE_IDS = ("A", "Bj1", "Bj2", "G", "S", "FG", "GS")
+
+    @pytest.mark.parametrize("sched", _DEUCE, ids=_DEUCE_IDS)
+    def test_deuce_games_skip_the_lattice(self, monkeypatch, sched):
+        def no_lattice(*args):
+            raise AssertionError("_lattice called")
+
+        monkeypatch.setattr(engine, "_lattice", no_lattice)
+        for pf in (0.0, 0.3, 0.64, 1.0):
+            prof = ServeProfile(pf, 0.47)
+            got = metrics_exact(sched, prof)
+            assert got == composed_metrics(sched, prof)
+
+    @pytest.mark.parametrize("sched", _DEUCE, ids=_DEUCE_IDS)
+    def test_deuce_games_keep_the_sign_of_a_zero(self, sched):
+        # a -0.0 chance makes the closure's win -0.0, and the lattice's
+        # level start added it to 0.0; float.hex tells the two zeros apart
+        for pf, ps in ((-0.0, 0.5), (0.5, -0.0), (-0.0, -0.0), (-0.0, 1.0), (1.0, -0.0)):
+            prof = ServeProfile(pf, ps)
+            try:
+                want = composed_metrics(sched, prof)
+            except SingularProfile:
+                with pytest.raises(SingularProfile):
+                    metrics_exact(sched, prof)
+                continue
+            got = metrics_exact(sched, prof)
+            assert [None if v is None else v.hex() for v in got] == [
+                None if v is None else v.hex() for v in want]
+
     def test_alternation_order_is_irrelevant(self):
         for i in range(1, 10):
             for j in range(1, 10):

@@ -1,3 +1,4 @@
+import enum
 import math
 import pickle
 from decimal import Decimal
@@ -11,11 +12,14 @@ from servelab.errors import RangeError, ServelabError
 from servelab.shaping import CompareRow, ShapingSolution, invert_p_win_T
 from servelab.simulate import MetricEstimate, SimConfig, SimResult
 from servelab.types import (
+    CUTOFFS,
+    ORDERS,
     GameMetrics,
     PointSource,
     RuleKind,
     ServeProfile,
     ServeSchedule,
+    _check_unit,
     _Record,
     rule_a,
     rule_b,
@@ -58,6 +62,61 @@ class TestServeProfile:
         with pytest.raises(Exception):
             prof.p_f = 0.9
 
+
+
+class _Float(float):
+    pass
+
+
+# the type and range rule's edge values: each sign of zero, the least and
+# the next-past-one floats, the non-finite ones, and the types besides an
+# exact float that the fast path leaves to _check_unit
+_UNIT_EDGES = [0.0, -0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0), math.nan, math.inf,
+               -math.inf, _Float(0.25), _Float(-0.0), _Float(1.5), 0, 1, 2, True, False,
+               Decimal("0.5"), None]
+
+
+def _outcome(call, *args):
+    """("ok", result) or (error class name, message)."""
+    try:
+        return "ok", call(*args)
+    except Exception as exc:
+        return exc.__class__.__name__, str(exc)
+
+
+class TestProfileCheck:
+    """ServeProfile accepts and refuses what _check_unit does, with its
+    message, and keeps the float pair the engine reads out of the value."""
+
+    @pytest.mark.parametrize("value", _UNIT_EDGES, ids=repr)
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_same_verdict_as_check_unit(self, value, position):
+        name = ServeProfile._fields[position]
+        args = [0.5, 0.5]
+        args[position] = value
+        want = _outcome(_check_unit, name, value)
+        got = _outcome(ServeProfile, *args)
+        if want[0] != "ok":
+            assert got == want
+            return
+        assert got[0] == "ok"
+        prof = got[1]
+        assert (prof.p_f, prof.p_s) == tuple(args)
+        assert getattr(prof, name) is value  # stored as given
+        pair = prof._pair
+        assert [v.__class__ for v in pair] == [float, float]
+        assert [v.hex() for v in pair] == [float(v).hex() for v in args]  # -0.0 stays -0.0
+
+    def test_pair_is_not_a_field(self):
+        prof = ServeProfile(1, 0.25)
+        assert prof._pair == (1.0, 0.25) and prof._pair[0].__class__ is float
+        assert prof == ServeProfile(1, 0.25) and hash(prof) == hash(ServeProfile(1, 0.25))
+        assert repr(prof) == "ServeProfile(p_f=1, p_s=0.25)"
+        assert prof.__reduce__() == (ServeProfile, (1, 0.25))
+        copy = pickle.loads(pickle.dumps(prof))
+        assert copy == prof and copy._pair == prof._pair
+        with pytest.raises(AttributeError):
+            prof._pair = (0.5, 0.5)
 
 class TestServeSchedule:
     def test_prefix_length_enforced(self):
@@ -262,6 +321,42 @@ class TestSharedRules:
         assert rule_bj(1.0) is rule_bj(1)
         assert rule_b(2.0) is rule_b(2)
         assert rule_c(True) is rule_c(1)
+
+
+
+class _Order(enum.IntEnum):
+    FIRST = 1
+    SECOND = 2
+
+
+# every kind of value a caller might pass as an order or a cutoff
+_FACTORY_INPUTS = [*range(8), -1, True, False, 1.0, 2.0, 1.5, Decimal(1), Decimal("1.5"),
+                   Fraction(2), Fraction(1, 2), _Order.SECOND, math.nan, math.inf, -math.inf,
+                   None, "1", [1], 10**5000]
+# (factory, its rule before it became one lookup, the refusal's words)
+_FACTORY_RULES = [
+    (rule_bj, lambda order: order in ORDERS, "order must be 1 or 2"),
+    (rule_b, lambda order: order in ORDERS, "order must be 1 or 2"),
+    (rule_c, lambda x: isinstance(x, int) and x in CUTOFFS, "x must be an integer in 0..6"),
+]
+
+
+class TestFactoryLookup:
+    """Each rule factory is one lookup, held to the rule it replaced: it
+    selects the schedule of an equal int, or refuses with its message."""
+
+    @pytest.mark.parametrize("factory,accepts,words", _FACTORY_RULES,
+                             ids=[rule[0].__name__ for rule in _FACTORY_RULES])
+    @pytest.mark.parametrize("value", _FACTORY_INPUTS,
+                             ids=[f"{v.__class__.__name__}-{i}"
+                                  for i, v in enumerate(_FACTORY_INPUTS)])
+    def test_same_as_the_old_rule(self, factory, accepts, words, value):
+        if accepts(value):
+            assert factory(value) is factory(int(value))
+            return
+        with pytest.raises(RangeError) as info:
+            factory(value)
+        assert str(info.value) == str(RangeError(words, value))
 
 
 _HUGE = 10**5000  # past the int repr limit, sys.get_int_max_str_digits()
