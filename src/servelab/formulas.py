@@ -8,9 +8,12 @@ polynomials below were derived by symbolic path enumeration and
 cross-checked against the engine to 1e-12.
 
 Conventions: p is F's per-point win chance where a single number suffices
-(A, T); two-variable games take a ServeProfile (p_F, p_S) with q = 1 - p
-complements computed at use sites.  `CLOSED_FORMS` is the one place that
-says which game has which forms; `closed_metrics` evaluates them by game.
+(A, T); two-variable games take a ServeProfile (p_F, p_S) with q = 1 - p.
+The six B and C(3) forms share their complements, powers and 3:3 tie
+mass, which `_terms` computes once per profile into its _terms slot; the
+engine reads none of it, so the forms stay an independent reference.
+`CLOSED_FORMS` is the one place that says which game has which forms;
+`closed_metrics` evaluates them by game.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 
 from .errors import SingularProfile
-from .types import RuleKind, ServeProfile
+from .types import RuleKind, ServeProfile, _set
 
 __all__ = [
     "CLOSED_FORMS",
@@ -159,10 +162,12 @@ def e_bp_T(p: float) -> float:
 #   into a local.  ps2 is ps**2, and a product's local names its factors
 #   left to right: ps2_qs is ps2 * qs.  `**` stays `**`, since x**3 and
 #   x * x * x can differ in the last place.  _tie_mass takes the powers and
-#   products its caller has already formed.
+#   products its caller has already formed.  _terms evaluates, once per
+#   profile, the trees that several B and C(3) forms share.
 # - Each local is assigned once, so a repeated tree is a repeated value.
-# - One statement assigns at most three names: CPython stores up to three
-#   values straight off its stack, but builds and unpacks a tuple for four.
+# - One statement assigns at most three names from a tuple display: CPython
+#   stores up to three values straight off its stack, but builds and unpacks
+#   a tuple for four.  Unpacking an existing tuple, such as _terms, builds none.
 # - Coefficients are float literals (9.0, not 9).  CPython specializes float
 #   arithmetic only when both operands are floats, so an int coefficient
 #   sends its operation down the generic path.  float arithmetic converts an
@@ -180,34 +185,44 @@ def _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3):
             + (ps3 * qf3 + qs3 * pf3))
 
 
-def p_win_B(prof: ServeProfile) -> float:
-    """Chance F wins the complete alternating-serve game."""
+def _terms(prof: ServeProfile) -> tuple:
+    """Fill prof._terms with the values the B and C(3) forms share; return it.
+
+    The forms read it as `prof._terms or _terms(prof)`; psps_qsqs is the
+    tie cycle's ps * ps + qs * qs.
+    """
     ps, pf = prof.p_s, prof.p_f
-    d = _closure_denom(pf, ps)
     qs, qf = 1.0 - ps, 1.0 - pf
     ps2, qs2 = ps**2, qs**2
     pf2, qf2 = pf**2, qf**2
     ps3, qs3 = ps**3, qs**3
     pf3, qf3 = pf**3, qf**3
-    ps2_pf2, ps2_qs, ps_qs2 = ps2 * pf2, ps2 * qs, ps * qs2
+    ps2_qs, ps_qs2 = ps2 * qs, ps * qs2
+    tie = _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3)
+    terms = (ps, pf, qs, qf, ps2, qs2, pf2, qf2, ps3, qs3, pf3, qf3, ps2_qs, ps_qs2,
+             tie, ps * ps + qs * qs)
+    _set(prof, "_terms", terms)
+    return terms
+
+
+def p_win_B(prof: ServeProfile) -> float:
+    """Chance F wins the complete alternating-serve game."""
+    (ps, pf, qs, qf, ps2, qs2, pf2, qf2, ps3, qs3, pf3, qf3, ps2_qs, ps_qs2,
+     tie, psps_qsqs) = prof._terms or _terms(prof)
+    d = _closure_denom(pf, ps)
+    ps2_pf2 = ps2 * pf2
     pre = (ps2_pf2 + 2.0 * (ps * qs * pf3) + 2.0 * (ps2_pf2 * qf)
            + 6.0 * (ps2_qs * pf2 * qf) + 3.0 * (ps3 * pf * qf2)
            + ps_qs2 * pf3)
-    tie = _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3)
     return pre + tie * pf * ps / d
 
 
 def e_points_B(prof: ServeProfile) -> float:
     """Expected number of points in the complete alternating-serve game."""
-    ps, pf = prof.p_s, prof.p_f
+    (ps, pf, qs, qf, ps2, qs2, pf2, qf2, ps3, qs3, pf3, qf3, ps2_qs, ps_qs2,
+     tie, psps_qsqs) = prof._terms or _terms(prof)
     d = _closure_denom(pf, ps)
-    qs, qf = 1.0 - ps, 1.0 - pf
-    ps2, qs2 = ps**2, qs**2
-    pf2, qf2 = pf**2, qf**2
-    ps3, qs3 = ps**3, qs**3
-    pf3, qf3 = pf**3, qf**3
     ps_qs, ps2_pf2 = ps * qs, ps2 * pf2
-    ps2_qs, ps_qs2 = ps2 * qs, ps * qs2
     # length-weighted absorption mass: 4 * end@4 + 5 * end@5 + 6 * end@6
     pre = (4.0 * (ps2_pf2 + qs2 * qf2)
            + 10.0 * (ps2_pf2 * qf + qs2 * pf * qf2)
@@ -215,7 +230,6 @@ def e_points_B(prof: ServeProfile) -> float:
            + 18.0 * (ps3 * pf * qf2 + qs3 * pf2 * qf)
            + 36.0 * (ps2_qs * pf2 * qf + ps_qs2 * pf * qf2)
            + 6.0 * (ps_qs2 * pf3 + ps2_qs * qf3))
-    tie = _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3)
     return pre + tie * (6.0 + 2.0 / d)
 
 
@@ -228,65 +242,47 @@ def e_points_B(prof: ServeProfile) -> float:
 
 def p_win_C(prof: ServeProfile) -> float:
     """Chance F wins the C(3) game."""
-    ps, pf = prof.p_s, prof.p_f
-    qs, qf = 1.0 - ps, 1.0 - pf
-    ps2, qs2 = ps**2, qs**2
-    pf2, qf2 = pf**2, qf**2
-    ps3, qs3 = ps**3, qs**3
-    pf3, qf3 = pf**3, qf**3
-    ps2_qs, ps_qs2 = ps2 * qs, ps * qs2
+    (ps, pf, qs, qf, ps2, qs2, pf2, qf2, ps3, qs3, pf3, qf3, ps2_qs, ps_qs2,
+     tie, psps_qsqs) = prof._terms or _terms(prof)
     pre = (ps * pf3 + ps * qs * pf3 + 3.0 * (ps2 * pf2 * qf) + ps_qs2 * pf3
            + 6.0 * (ps2_qs * pf2 * qf) + 3.0 * (ps3 * pf * qf2))
-    tie = _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3)
-    return pre + tie * ps * ps / (ps * ps + qs * qs)
+    return pre + tie * ps * ps / psps_qsqs
 
 
 def p_bp_C(prof: ServeProfile) -> float:
     """Chance at least one break point occurs in the C(3) game."""
-    ps, pf = prof.p_s, prof.p_f
-    qs, qf = 1.0 - ps, 1.0 - pf
-    qs2, pf2, qf2 = qs**2, pf**2, qf**2
+    (ps, pf, qs, qf, ps2, qs2, pf2, qf2, ps3, qs3, pf3, qf3, ps2_qs, ps_qs2,
+     tie, psps_qsqs) = prof._terms or _terms(prof)
     # first arrival at a stand-one-point-from-break state (S at 3, F at <= 2)
-    first = (qf**3 + 3.0 * (qs * pf * qf2) + 3.0 * (qs2 * pf2 * qf)
+    first = (qf3 + 3.0 * (qs * pf * qf2) + 3.0 * (qs2 * pf2 * qf)
              + 3.0 * (ps * qs * pf * qf2))
     # mass reaching 3:3 without ever having faced a break point
-    clean = (qs**3 * pf**3 + 6.0 * (ps * qs2 * pf2 * qf)
-             + 3.0 * (ps**2 * qs * pf * qf2))
+    clean = qs3 * pf3 + 6.0 * (ps_qs2 * pf2 * qf) + 3.0 * (ps2_qs * pf * qf2)
     return first + clean * qs / (qs + ps * ps)
 
 
 def e_points_C(prof: ServeProfile) -> float:
     """Expected number of points in the C(3) game."""
-    ps, pf = prof.p_s, prof.p_f
-    qs, qf = 1.0 - ps, 1.0 - pf
-    ps2, qs2 = ps**2, qs**2
-    pf2, qf2 = pf**2, qf**2
-    ps3, qs3 = ps**3, qs**3
-    pf3, qf3 = pf**3, qf**3
-    ps_qs, ps2_qs, ps_qs2 = ps * qs, ps2 * qs, ps * qs2
+    (ps, pf, qs, qf, ps2, qs2, pf2, qf2, ps3, qs3, pf3, qf3, ps2_qs, ps_qs2,
+     tie, psps_qsqs) = prof._terms or _terms(prof)
+    ps_qs = ps * qs
     pre = (4.0 * (ps * pf3 + qs * qf3)
            + 5.0 * (ps_qs * pf3 + ps_qs * qf3)
            + 15.0 * (ps2 * pf2 * qf + qs2 * pf * qf2)
            + 18.0 * (ps3 * pf * qf2 + qs3 * pf2 * qf)
            + 36.0 * (ps2_qs * pf2 * qf + ps_qs2 * pf * qf2)
            + 6.0 * (ps_qs2 * pf3 + ps2_qs * qf3))
-    tie = _tie_mass(ps_qs2, ps2_qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3)
-    return pre + tie * (6.0 + 2.0 / (ps * ps + qs * qs))
+    return pre + tie * (6.0 + 2.0 / psps_qsqs)
 
 
 def e_bp_C(prof: ServeProfile) -> float:
     """Expected number of break points in the C(3) game."""
-    ps, pf = prof.p_s, prof.p_f
-    qs, qf = 1.0 - ps, 1.0 - pf
-    ps2, qs2 = ps**2, qs**2
-    pf2, qf2 = pf**2, qf**2
-    ps3, qs3 = ps**3, qs**3
-    pf3, qf3 = pf**3, qf**3
+    (ps, pf, qs, qf, ps2, qs2, pf2, qf2, ps3, qs3, pf3, qf3, ps2_qs, ps_qs2,
+     tie, psps_qsqs) = prof._terms or _terms(prof)
     # every occupancy of a break-point state before 3:3, counted per point
     visits = (qf3 + ps * qf3 + ps2 * qf3 + 3.0 * (qs * pf * qf2)
               + 6.0 * (ps * qs * pf * qf2) + 3.0 * (qs2 * pf2 * qf))
-    tie = _tie_mass(ps * qs2, ps2 * qs, pf, qf, pf2, qf2, ps3, qs3, pf3, qf3)
-    return visits + tie * qs / (ps * ps + qs * qs)
+    return visits + tie * qs / psps_qsqs
 
 
 # ---------------------------------------------------------------- table

@@ -1,15 +1,18 @@
 """Domain vocabulary: probabilities, serve profiles, rule kinds, schedules.
 
-All types are immutable values and safe to share between threads, and
-the rule_* factories return shared ones: the 13 schedules A, Bj(1, 2),
-T, B(1, 2) and C(0..6) are built once, at import, and a call is one
-lookup of its schedule, which refuses what misses.  One rule sorts the
-records, here and in the other modules: an input, whose __init__ checks
-the values a caller gives it, derives from _Record (ServeProfile,
-ServeSchedule and simulate.SimConfig); an output, such as GameMetrics,
-is a typing.NamedTuple.  A _Record keeps its fields in __slots__,
-__init__ writes each one once through object.__setattr__, and any later
-assignment or deletion raises AttributeError.
+All types are immutable values and safe to share between threads.  A
+ServeProfile's one late write, formulas._terms filling its _terms slot,
+stores a value of the profile alone, so threads that race there store
+the same tuple twice.  The rule_* factories return shared values: the
+13 schedules A, Bj(1, 2), T, B(1, 2) and C(0..6) are built once, at
+import, and a call is one lookup of its schedule, which refuses what
+misses.  One rule sorts the records, here and in the other modules: an
+input, whose __init__ checks the values a caller gives it, derives from
+_Record (ServeProfile, ServeSchedule and simulate.SimConfig); an output,
+such as GameMetrics, is a typing.NamedTuple.  A _Record keeps its
+fields in __slots__, __init__ writes each one once through
+object.__setattr__, and any later assignment or deletion raises
+AttributeError.
 
 A schedule's source pattern is fixed when it is built, so ServeSchedule
 builds with it the getters that map a profile's (p_F, p_S) pair to point
@@ -44,7 +47,7 @@ __all__ = [
 ]
 
 
-_set = object.__setattr__  # how a _Record's __init__ writes its fields
+_set = object.__setattr__  # how a _Record's __init__, and formulas._terms, write slots
 
 
 class _Record:
@@ -146,12 +149,16 @@ class ServeProfile(_Record):
     p_s: chance F wins a point under the weaker condition, i.e. when S
          serves or when F is restricted to a single attempt.
 
-    _pair is a derived slot, the float pair (float(p_f), float(p_s)) that
-    the engine reads; ==, hash, repr and pickle read only the two fields.
+    Two derived slots sit beside the fields, and ==, hash, repr and pickle
+    read neither: _pair is the float pair (float(p_f), float(p_s)) that
+    the engine reads, and _terms holds the powers and the 3:3 tie mass
+    that the B and C(3) closed forms share.  _terms starts as None and
+    formulas._terms fills it on the profile's first such form; a copied or
+    unpickled profile starts again from None.
     """
 
     _fields = ("p_f", "p_s")
-    __slots__ = (*_fields, "_pair")
+    __slots__ = (*_fields, "_pair", "_terms")
 
     def __init__(self, p_f: float, p_s: float):
         _set(self, "p_f", p_f)
@@ -162,6 +169,7 @@ class ServeProfile(_Record):
         if not (p_s.__class__ is float and 0.0 <= p_s <= 1.0):
             _check_unit("p_s", p_s)
         _set(self, "_pair", (float(p_f), float(p_s)))
+        _set(self, "_terms", None)
 
 
 class ServeSchedule(_Record):

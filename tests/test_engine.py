@@ -833,7 +833,7 @@ def _int_operands(fn) -> list[str]:
 
 _FLOAT_PATH = (engine._lattice, engine._closure, engine.metrics_exact,
                *(fn for forms in fm.CLOSED_FORMS.values() for _, fn in forms),
-               fm._tie_mass, fm._closure_denom)
+               fm._tie_mass, fm._terms, fm._closure_denom)
 
 
 class TestFloatFastPath:

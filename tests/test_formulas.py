@@ -532,3 +532,26 @@ class TestGoldenBits:
                 digest.update(" ".join(_bits_row(pf, ps)).encode() + b"\n")
         assert digest.hexdigest() == (
             "1cfd7f3b4e449521e91e6148c0d065b5f487ea3e42e28cfae7ff4c11e2266fdc")
+
+
+# The six forms that share a profile's _terms, and the profiles they must
+# agree on: a grid, the singular corners (the B forms raise there, the C
+# forms still return), int fields and signed zeros.
+_SHARED_FORMS = (fm.p_win_B, fm.e_points_B, fm.p_win_C, fm.p_bp_C, fm.e_points_C, fm.e_bp_C)
+_ORDER_CASES = [(pf, ps) for pf in grid(n=6) for ps in grid(n=6)] + [
+    (1, 0), (0, 1), (1, 0.25), (0.25, 0), (-0.0, 0.5), (0.5, -0.0), (-0.0, -0.0), (-0.0, 1.0),
+]
+
+
+class TestSharedTerms:
+    @pytest.mark.parametrize("pf,ps", _ORDER_CASES, ids=repr)
+    def test_order_of_forms_does_not_change_bits(self, pf, ps):
+        fresh = {fn: _bits(fn, ServeProfile(pf, ps)) for fn in _SHARED_FORMS}
+        for order in (_SHARED_FORMS, _SHARED_FORMS[::-1]):
+            for fn in _SHARED_FORMS:
+                prof = ServeProfile(pf, ps)
+                for other in order:
+                    if other is not fn:
+                        _bits(other, prof)
+                assert prof._terms is not None
+                assert _bits(fn, prof) == fresh[fn], fn.__name__

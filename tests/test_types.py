@@ -1,3 +1,4 @@
+import copy
 import enum
 import math
 import pickle
@@ -9,6 +10,7 @@ import pytest
 from servelab.atp import FitRow, FitSummary, PlayerStats
 from servelab.engine import deuce_closure, walk_expected_duration
 from servelab.errors import RangeError, ServelabError
+from servelab.formulas import p_win_C
 from servelab.shaping import CompareRow, ShapingSolution, invert_p_win_T
 from servelab.simulate import MetricEstimate, SimConfig, SimResult
 from servelab.types import (
@@ -110,13 +112,18 @@ class TestProfileCheck:
     def test_pair_is_not_a_field(self):
         prof = ServeProfile(1, 0.25)
         assert prof._pair == (1.0, 0.25) and prof._pair[0].__class__ is float
+        assert prof._terms is None
+        p_win_C(prof)  # fills _terms, which the B and C(3) forms share
+        assert prof._terms is not None
         assert prof == ServeProfile(1, 0.25) and hash(prof) == hash(ServeProfile(1, 0.25))
         assert repr(prof) == "ServeProfile(p_f=1, p_s=0.25)"
         assert prof.__reduce__() == (ServeProfile, (1, 0.25))
-        copy = pickle.loads(pickle.dumps(prof))
-        assert copy == prof and copy._pair == prof._pair
+        for twin in (pickle.loads(pickle.dumps(prof)), copy.copy(prof), copy.deepcopy(prof)):
+            assert twin == prof and twin._pair == prof._pair and twin._terms is None
         with pytest.raises(AttributeError):
             prof._pair = (0.5, 0.5)
+        with pytest.raises(AttributeError):
+            prof._terms = None
 
 class TestServeSchedule:
     def test_prefix_length_enforced(self):
